@@ -378,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument(
         "--kernels", action="store_true",
         help="run the kernel execution-plan benchmark (spmv/symgs/sptrsv, "
-        "FP32 vs FP16-stored, every available backend)",
+        "FP32 vs FP16-stored, every available backend; the full run also "
+        "gates on the c backend's FP16 SpMV beating its FP32 SpMV)",
     )
     p_bench.add_argument(
         "--krylov", action="store_true",

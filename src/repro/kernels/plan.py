@@ -34,8 +34,10 @@ performs zero per-iteration symbolic work.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
+from functools import cached_property
 
 import numpy as np
 
@@ -82,6 +84,11 @@ class _TrsvScheme:
             cells.nbytes + sum(r.nbytes + c.nbytes + n.nbytes for _, r, c, n in terms)
             for cells, terms in planes
         )
+
+
+def _slice_volume(shape, slices) -> int:
+    """Number of grid cells a tuple of per-axis slices selects."""
+    return math.prod(len(range(*s.indices(n))) for n, s in zip(shape, slices))
 
 
 class KernelPlan:
@@ -132,11 +139,30 @@ class KernelPlan:
         else:
             self.sweep_colors = None
 
+        # (ox, oy, oz) per stencil offset, flat, for compiled backends
+        self.offsets_table = np.asarray(self.offsets, dtype=np.int32)
+
         self._wavefront_planes = wavefront_planes  # symbolic plane partition
         self._trsv: dict = {}
         self._trsv_lock = threading.Lock()
         self._scratch = _ScratchLocal()
         _metrics.incr("kernel.plan.builds")
+
+    # Scalar grids: coefficients one SpMV / one sweep converts, the count
+    # the planned kernels charge to ``precision.fcvt.values`` whenever the
+    # payload dtype differs from the compute dtype.  Computed on first use
+    # (only metric collection needs them), so setup does not pay for them.
+    @cached_property
+    def spmv_coeff_values(self) -> int:
+        return sum(_slice_volume(self.shape, dst) for _d, dst, _s in self.spmv_terms)
+
+    @cached_property
+    def sweep_coeff_values(self) -> int:
+        return sum(
+            _slice_volume(self.shape, dst_g)
+            for _c, _cs, terms in self.sweep_colors or ()
+            for _d, dst_g, _src, _dst_l in terms
+        )
 
     # ------------------------------------------------------------------
     def scratch(self, name: str, shape, dtype) -> np.ndarray:

@@ -32,6 +32,7 @@ from ..kernels import (
 )
 from ..observability import metrics as _metrics
 from ..observability import trace as _trace
+from .bytes_model import spmv_volume, sptrsv_volume, symgs_volume
 from .timing import measure
 
 __all__ = ["run_kernel_bench", "DEFAULT_SHAPE"]
@@ -86,9 +87,9 @@ def _bench_kernels_for_backend(a27, a7, repeats, rng):
             gs_sweep_colored(a, b, x, dinv, forward=True, plan=plan)
             gs_sweep_colored(a, b, x, dinv, forward=False, plan=plan)
 
-        for kernel, pre, post in (
-            ("spmv", spmv_pre, spmv_post),
-            ("symgs", symgs_pre, symgs_post),
+        for kernel, pre, post, volume in (
+            ("spmv", spmv_pre, spmv_post, spmv_volume),
+            ("symgs", symgs_pre, symgs_post, symgs_volume),
         ):
             # jit backends compile on first planned call; measure()'s
             # warmup round absorbs both compilation and scratch allocation
@@ -100,6 +101,7 @@ def _bench_kernels_for_backend(a27, a7, repeats, rng):
                     "payload": payload_name,
                     "pre_s": measure(pre, warmup=1, repeats=repeats),
                     "post_s": measure(post, warmup=warmup, repeats=repeats),
+                    "bytes": volume(a.nnz_stored, a.grid.ndof, a.data.itemsize),
                 }
             )
 
@@ -122,11 +124,13 @@ def _bench_kernels_for_backend(a27, a7, repeats, rng):
                 "payload": payload_name,
                 "pre_s": measure(trsv_pre, warmup=1, repeats=repeats),
                 "post_s": measure(trsv_post, warmup=warmup, repeats=repeats),
+                "bytes": sptrsv_volume(a.nnz_stored, a.grid.ndof, a.data.itemsize),
             }
         )
 
     for r in results:
         r["speedup"] = r["pre_s"] / r["post_s"] if r["post_s"] > 0 else None
+        r["post_gbps"] = r["bytes"] / r["post_s"] / 1e9 if r["post_s"] > 0 else None
     return results
 
 
@@ -163,10 +167,13 @@ def run_kernel_bench(
     """Run the kernel benchmark; returns ``(snapshot_doc, ok)``.
 
     ``ok`` reports the acceptance gates: planned numpy SymGS and SpTRSV at
-    least as fast as the pre-plan kernels, and zero plan construction in
-    the V-cycle hot loop.  ``fast`` shrinks the problem for CI smoke runs
-    and skips the speedup gate (timing noise on tiny grids is not signal),
-    but never the hot-loop gate.
+    least as fast as the pre-plan kernels, zero plan construction in the
+    V-cycle hot loop, and — when the ``c`` backend is benchmarked — its
+    FP16-stored SpMV faster than its FP32-stored one (the paper's claim at
+    kernel level).  The c FP16/FP32 SymGS time ratio is reported, not
+    gated.  ``fast`` shrinks the problem for CI smoke runs and skips the
+    speed gates (timing noise on tiny grids is not signal), but never the
+    hot-loop gate.
     """
     from ..mg import mg_setup
     from ..observability.snapshot import build_snapshot
@@ -228,6 +235,13 @@ def run_kernel_bench(
         tr = _speedup("sptrsv")
         gates["symgs_planned_not_slower"] = sg is not None and sg >= 1.0
         gates["sptrsv_planned_not_slower"] = tr is not None and tr >= 1.0
+    fp16_over_fp32 = {
+        kernel: by_key[(kernel, "c", "fp16")]["post_s"]
+        / by_key[(kernel, "c", "fp32")]["post_s"]
+        for kernel in ("spmv", "symgs")
+    } if "c" in usable else {}
+    if fp16_over_fp32 and not fast:
+        gates["c_fp16_spmv_beats_fp32"] = fp16_over_fp32["spmv"] < 1.0
     ok = all(gates.values())
 
     kernel_times = {"stat": "best", "repeats": repeats}
@@ -256,6 +270,7 @@ def run_kernel_bench(
                 "backend_status": backend_status(),
                 "results": results,
                 "hot_loop": hot_loop,
+                "c_fp16_over_fp32": fp16_over_fp32,
                 "gates": gates,
                 "plan_finest": hierarchy.finest.plan.describe(),
             }
@@ -271,15 +286,18 @@ def format_results(doc) -> str:
         f"kernel bench @ {'x'.join(str(n) for n in bench['shape'])} "
         f"(repeats={bench['repeats']}, backends: {', '.join(bench['backends'])})",
         f"{'kernel':<8} {'payload':<8} {'backend':<8} "
-        f"{'pre-plan':>12} {'planned':>12} {'speedup':>8}",
+        f"{'pre-plan':>12} {'planned':>12} {'speedup':>8} {'GB/s':>7}",
     ]
     for r in bench["results"]:
         spd = f"{r['speedup']:.2f}x" if r["speedup"] else "n/a"
+        gbps = f"{r['post_gbps']:.2f}" if r.get("post_gbps") else "n/a"
         lines.append(
             f"{r['kernel']:<8} {r['payload']:<8} {r['backend']:<8} "
             f"{r['pre_s'] * 1e3:>10.3f}ms {r['post_s'] * 1e3:>10.3f}ms "
-            f"{spd:>8}"
+            f"{spd:>8} {gbps:>7}"
         )
+    for kernel, ratio in bench.get("c_fp16_over_fp32", {}).items():
+        lines.append(f"c {kernel} FP16/FP32 time: {ratio:.2f}")
     hot = bench["hot_loop"]
     lines.append(
         f"hot loop: {hot['plan_builds_during_cycles']} plan builds over "

@@ -450,9 +450,11 @@ class SGDIAMatrix:
 
     # ------------------------------------------------------------------
     def matvec(self, x: np.ndarray, **kwargs) -> np.ndarray:
-        """Sparse matrix-vector product (delegates to the SG-DIA kernel)."""
-        from ..kernels import spmv  # local import to avoid a cycle
+        """Sparse matrix-vector product through the active kernel backend."""
+        from ..kernels import plan_for, spmv  # local import to avoid a cycle
 
+        if "plan" not in kwargs:
+            kwargs["plan"] = plan_for(self)
         return spmv(self, x, **kwargs)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:

@@ -166,9 +166,9 @@ class StoredMatrix:
         return m.scaled_two_sided(self.scaling.sqrt_q.astype(self.compute.np_dtype))
 
     def matvec(self, x: np.ndarray, out=None) -> np.ndarray:
-        from ..kernels import spmv
+        from ..kernels import plan_for, spmv
 
-        return spmv(self, x, out=out)
+        return spmv(self, x, out=out, plan=plan_for(self.matrix))
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.matvec(x)
