@@ -1,26 +1,38 @@
 """Galerkin coarsening: the triple-matrix product ``A_c = R A P``.
 
 This is the essential process of the multigrid setup phase (paper Figure 2:
-"Coarsening — SpGEMM").  The product is evaluated in high precision with
-scipy.sparse — the paper's Algorithm 1 performs *all* Galerkin coarsening
-in high precision before any FP16 truncation, which is exactly what the
-setup-then-scale strategy protects — and the result is poured back into
-index-free SG-DIA storage (coarse operators of radius-1 stencils with
-factor-2/-4 coarsening stay within the 3d27 pattern, the expansion noted in
-the paper's Table 3 footnote).
+"Coarsening — SpGEMM").  The paper's Algorithm 1 performs *all* Galerkin
+coarsening in high precision before any FP16 truncation — exactly what the
+setup-then-scale strategy protects — so the product is evaluated in FP64
+whatever the input precision.
 
-A constant-coefficient stencil-algebra RAP is included as an independent
-cross-check used by the test suite.
+The setup path (:func:`galerkin_coarse_sgdia`) never leaves index-free
+SG-DIA storage.  ``P = Px (x) Py (x) Pz (x) I_r`` and every fine stencil
+has radius 1, so the product factorizes into one 1-D Galerkin product
+``Pᵀ T P`` per coarsened axis, applied to the tridiagonal couplings ``T``
+along that axis and batched over the other axes, the cross offsets and
+the ``r x r`` blocks.  The operator lives in a dense 3x3x3 "box" of
+coefficient arrays (one per offset in ``[-1, 1]^3``); each axis pass is a
+handful of strided multiply-adds, and the coarse box is read back into the
+3d27 pattern (radius-1 stencils with factor-2/-4 coarsening stay within it,
+the expansion noted in the paper's Table 3 footnote) or collapsed onto a
+smaller one.
+
+:func:`galerkin_product` (scipy.sparse CSR) and :func:`collapse_to_pattern`
+are kept as independent FP64 references for the test suite, together with
+a constant-coefficient stencil-algebra RAP.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..grid import StructuredGrid, stencil as make_stencil
-from ..sgdia import SGDIAMatrix
-from .transfer import Transfer
+from ..sgdia import SGDIAMatrix, offset_slices
+from .transfer import INTERP_1D, Transfer
 
 __all__ = [
     "galerkin_product",
@@ -28,6 +40,12 @@ __all__ = [
     "collapse_to_pattern",
     "constant_coefficient_coarse_stencil",
 ]
+
+#: Coordinates of the 27 offsets of the radius-1 box, in stencil
+#: (lexicographic) order — the C order of the box's three offset axes.
+_BOX_OFFSETS = tuple(
+    (dx, dy, dz) for dx in (-1, 0, 1) for dy in (-1, 0, 1) for dz in (-1, 0, 1)
+)
 
 
 def galerkin_product(a: sp.spmatrix, transfer: Transfer) -> sp.csr_matrix:
@@ -49,20 +67,191 @@ def galerkin_coarse_sgdia(
 ) -> SGDIAMatrix:
     """One Galerkin coarsening step, returning the coarse SG-DIA operator.
 
-    ``collapse=True`` lumps any product entry outside ``coarse_pattern``
-    onto the coarse diagonal (row-sum preserving non-Galerkin sparsification
-    in the spirit of Falgout & Schroder 2014, which the paper cites for
-    aggressive coarsening); with ``collapse=False`` an out-of-pattern
-    nonzero raises.
+    The structured FP64 product described in the module docstring; no
+    index array is built.  ``collapse=True`` moves every product entry
+    outside ``coarse_pattern`` onto retained neighbours, exactly as
+    :func:`collapse_to_pattern` does (row-sum preserving non-Galerkin
+    sparsification in the spirit of Falgout & Schroder 2014, which the
+    paper cites for aggressive coarsening); with ``collapse=False`` an
+    out-of-pattern nonzero raises.
     """
-    coarse_csr = galerkin_product(a_fine.to_csr(), transfer)
-    if collapse:
-        coarse_csr = collapse_to_pattern(
-            coarse_csr, transfer.coarse, coarse_pattern
+    grid = a_fine.grid
+    if (grid.shape, grid.ncomp) != (transfer.fine.shape, transfer.fine.ncomp):
+        raise ValueError(
+            f"transfer from grid {transfer.fine.shape}x{transfer.fine.ncomp} "
+            f"does not match operator grid {grid.shape}x{grid.ncomp}"
         )
-    return SGDIAMatrix.from_csr(
-        coarse_csr, transfer.coarse, coarse_pattern, strict=not collapse
-    )
+    target = make_stencil(coarse_pattern)
+    for st in (a_fine.stencil, target):
+        if st.radius > 1:
+            raise ValueError(
+                f"structured Galerkin product needs radius-1 stencils, "
+                f"got {st.name} of radius {st.radius}"
+            )
+    box = _load_box(a_fine)
+    wdtype = np.dtype(transfer.p.dtype).str
+    for axis, (n, factor) in enumerate(zip(grid.shape, transfer.factors)):
+        if factor > 1:
+            box = _coarsen_axis(
+                box, axis, factor, _axis_terms(n, factor, transfer.kind, wdtype)
+            )
+    if np.may_share_memory(box, a_fine.data):  # no axis coarsened
+        box = box.copy()
+    if collapse:
+        _collapse_box(box, target)
+    else:
+        for off in _BOX_OFFSETS:
+            if off not in target and np.any(box[_box_index(off)]):
+                raise ValueError(
+                    f"nonzero entry at offset {off} outside stencil {target.name}"
+                )
+    if target.ndiag == len(_BOX_OFFSETS):  # 3d27: the box is the payload
+        data = box.reshape((len(_BOX_OFFSETS),) + box.shape[3:])
+    else:
+        data = np.stack([box[_box_index(off)] for off in target.offsets])
+    return SGDIAMatrix(transfer.coarse, target, data, check=False)
+
+
+def _load_box(a: SGDIAMatrix) -> np.ndarray:
+    """FP64 box ``(3, 3, 3, nx, ny, nz[, r, r])`` of ``a``'s coefficients.
+
+    ``box[dx+1, dy+1, dz+1]`` holds the entries at offset ``(dx, dy, dz)``
+    whose neighbour exists, as the CSR operator holds them.  An FP64 SOA
+    3d27 payload that already keeps the boundary convention *is* the box:
+    it is returned as a view, which the caller must not write.
+    """
+    grid = a.grid
+    if (
+        a.stencil.offsets == _BOX_OFFSETS
+        and a.layout == "soa"
+        and a.dtype == np.float64
+        and not any(
+            _boundary_nonzero(a.data[d], grid.shape, off)
+            for d, off in enumerate(_BOX_OFFSETS)
+        )
+    ):
+        return a.data.reshape((3, 3, 3) + a.data.shape[1:])
+    block = (grid.ncomp, grid.ncomp) if grid.ncomp > 1 else ()
+    box = np.zeros((3, 3, 3) + grid.shape + block)
+    for d, off in enumerate(a.stencil.offsets):
+        dst, _ = offset_slices(grid.shape, off)
+        box[_box_index(off) + dst] = a.diag_view(d)[dst]
+    return box
+
+
+def _boundary_nonzero(view: np.ndarray, shape, off) -> bool:
+    """Whether one offset's array has a nonzero whose neighbour is outside
+    the grid (those lie on the boundary planes the offset points out of)."""
+    for ax, (n, c) in enumerate(zip(shape, off)):
+        if c:
+            idx = [slice(None)] * 3
+            idx[ax] = 0 if c < 0 else n - 1
+            if np.any(view[tuple(idx)]):
+                return True
+    return False
+
+
+def _box_index(off: tuple[int, int, int]) -> tuple[int, int, int]:
+    return (off[0] + 1, off[1] + 1, off[2] + 1)
+
+
+@lru_cache(maxsize=256)
+def _axis_terms(n: int, factor: int, kind: str, wdtype: str) -> tuple:
+    """The 1-D Galerkin product ``Pᵀ T P`` of a tridiagonal ``T`` as terms.
+
+    ``P`` is the ``(n, nc)`` 1-D interpolation of ``kind`` with weights
+    rounded to the transfer's dtype ``wdtype``, as the CSR product sees
+    them.  Each term ``(o, oc, q, lo, hi, coef)`` (box indices ``o``,
+    ``oc`` in ``0..2``) adds ``coef[I - lo] * T_o[factor*I + q]`` to the
+    coarse diagonal ``oc`` at coarse rows ``lo <= I < hi``, where ``T_o``
+    is the fine diagonal ``o``.  This covers the clamp rows past the last
+    coarse point.  A weight pair coupling coarse points more than one
+    apart raises, so the product is never silently truncated.
+    """
+    p1 = sp.csr_matrix(INTERP_1D[kind](n, factor), dtype=np.dtype(wdtype))
+    nc = p1.shape[1]
+    weights = p1.data.astype(np.float64)
+    rows = [
+        list(zip(p1.indices[lo:hi].tolist(), weights[lo:hi].tolist()))
+        for lo, hi in zip(p1.indptr[:-1], p1.indptr[1:])
+    ]
+    coefs: dict[tuple[int, int, int], np.ndarray] = {}
+    for i in range(n):
+        for o in (-1, 0, 1):
+            if not 0 <= i + o < n:
+                continue
+            for c1, w1 in rows[i]:
+                for c2, w2 in rows[i + o]:
+                    if abs(c2 - c1) > 1:
+                        raise ValueError(
+                            f"{kind} interpolation with factor {factor} on "
+                            f"{n} points couples coarse points {c1} and {c2}: "
+                            "the coarse operator would exceed radius 1"
+                        )
+                    key = (o + 1, c2 - c1 + 1, i - factor * c1)
+                    coefs.setdefault(key, np.zeros(nc))[c1] = w1 * w2
+    terms = []
+    for (o, oc, q), coef in sorted(coefs.items()):
+        nz = np.flatnonzero(coef)
+        if nz.size:
+            lo, hi = int(nz[0]), int(nz[-1]) + 1
+            sub = coef[lo:hi]
+            sub.setflags(write=False)
+            terms.append((o, oc, q, lo, hi, sub))
+    return tuple(terms)
+
+
+def _coarsen_axis(box: np.ndarray, axis: int, factor: int, terms) -> np.ndarray:
+    """Apply the 1-D Galerkin product along ``axis`` to the whole box.
+
+    Box axis ``axis`` holds the coupling offset along ``axis`` and box axis
+    ``3 + axis`` the position; all other axes ride along as a batch.
+    """
+    shape = list(box.shape)
+    shape[3 + axis] = -(-shape[3 + axis] // factor)
+    out = np.zeros(shape)
+    # coefficients broadcast over the position axis of a box slice that has
+    # lost its offset axis
+    tail = (1,) * (box.ndim - 4 - axis)
+    src = [slice(None)] * box.ndim
+    dst = [slice(None)] * box.ndim
+    for o, oc, q, lo, hi, coef in terms:
+        src[axis], dst[axis] = o, oc
+        src[3 + axis] = slice(factor * lo + q, factor * (hi - 1) + q + 1, factor)
+        dst[3 + axis] = slice(lo, hi)
+        out[tuple(dst)] += coef.reshape((-1,) + tail) * box[tuple(src)]
+    return out
+
+
+def _collapse_box(box: np.ndarray, target) -> None:
+    """:func:`collapse_to_pattern` on the box, one offset at a time.
+
+    A dropped negative entry at offset ``d`` is split equally over the face
+    offsets of ``target`` it decomposes into; a dropped positive entry, or
+    one with no retained face offset, goes to the diagonal.  The targets of
+    ``d`` do not depend on the cell, and each lies between the cell and its
+    ``d``-neighbour, so it exists wherever the dropped entry does.
+    """
+    diag = box[1, 1, 1]
+    for off in _BOX_OFFSETS:
+        if off in target:
+            continue
+        vals = box[_box_index(off)]
+        faces = [
+            tuple(c if k == ax else 0 for k in range(3))
+            for ax, c in enumerate(off)
+            if c
+        ]
+        faces = [face for face in faces if face in target]
+        if faces:
+            neg = np.minimum(vals, 0.0)
+            share = neg / len(faces)
+            for face in faces:
+                box[_box_index(face)] += share
+            diag += vals - neg
+        else:
+            diag += vals
+        vals[...] = 0.0
 
 
 def collapse_to_pattern(

@@ -22,6 +22,9 @@ from .interp import injection_1d, interp_1d
 
 __all__ = ["Transfer", "build_transfer", "choose_coarsen_factors"]
 
+#: 1-D factories by interpolation kind; ``P`` is their Kronecker product.
+INTERP_1D = {"linear": interp_1d, "injection": injection_1d}
+
 
 @dataclass
 class Transfer:
@@ -32,6 +35,7 @@ class Transfer:
     factors: tuple[int, int, int]
     p: sp.csr_matrix  # (ndof_fine, ndof_coarse)
     r: sp.csr_matrix  # (ndof_coarse, ndof_fine)
+    kind: str  # 1-D factor of every axis: "linear" or "injection"
 
     @staticmethod
     def _apply(mat: sp.csr_matrix, x: np.ndarray, src, dst, dtype) -> np.ndarray:
@@ -72,7 +76,7 @@ def build_transfer(
     axis (semicoarsening for anisotropic problems); aggressive coarsening
     uses factors > 2.
     """
-    factory = {"linear": interp_1d, "injection": injection_1d}.get(kind)
+    factory = INTERP_1D.get(kind)
     if factory is None:
         raise ValueError(f"unknown interpolation kind {kind!r}")
     coarse = fine.coarsen(factors)
@@ -84,7 +88,9 @@ def build_transfer(
     r = sp.csr_matrix(p.T)
     p_c = p.astype(compute_dtype)
     r_c = r.astype(compute_dtype)
-    return Transfer(fine=fine, coarse=coarse, factors=factors, p=p_c, r=r_c)
+    return Transfer(
+        fine=fine, coarse=coarse, factors=factors, p=p_c, r=r_c, kind=kind
+    )
 
 
 def choose_coarsen_factors(

@@ -36,8 +36,8 @@ from ..precision import (
     DiagonalScaling,
     PrecisionConfig,
     choose_g,
-    count_out_of_range,
     count_subnormal,
+    range_counts,
 )
 from ..sgdia import SGDIAMatrix, StoredMatrix, offset_slices
 from ..smoothers import CoarseDirectSolver, Smoother, make_smoother
@@ -438,32 +438,26 @@ def _setup_from_chain(
             stored, smoother_high = _build_level_stored(
                 a_high, storage_fmt, config
             )
-            n_over, n_under = count_out_of_range(
-                smoother_high.data, nominal_fmt
-            )
+            # one audit of the payload's values serves the statistics, the
+            # metrics and the auto-shift trigger
+            counts = range_counts(smoother_high.data, nominal_fmt)
+            n_over, n_under = counts.n_overflow, counts.n_underflow
             tripped = False
             if auto_shift and not shifted and storage_fmt is config.storage:
                 # trip the shift when the (scaled) values would flush to zero
                 # in the storage format beyond tolerance — the underflow
                 # hazard Section 4.3 introduces shift_levid for
-                vals = smoother_high.data
-                nz = vals != 0
-                n_nz = int(np.count_nonzero(nz))
-                under = int(
-                    np.count_nonzero(np.abs(vals[nz]) < storage_fmt.tiny)
-                )
-                if n_nz and under / n_nz > _AUTO_SHIFT_UNDERFLOW_FRACTION:
+                n_nz = counts.n_nonzero
+                if n_nz and n_under / n_nz > _AUTO_SHIFT_UNDERFLOW_FRACTION:
                     shifted = True
                     tripped = True
                     auto_shift_level = i
                     stored, smoother_high = _build_level_stored(
                         a_high, config.compute, config
                     )
+                    counts = range_counts(smoother_high.data, nominal_fmt)
 
-            n_nonfinite = int(
-                smoother_high.data.size
-                - np.count_nonzero(np.isfinite(smoother_high.data))
-            )
+            n_nonfinite = counts.n_nonfinite
             if _metrics.active():
                 # Exactly the LevelSetupStats numbers, as live counters —
                 # traces and SetupDiagnostics must always agree.
@@ -495,7 +489,7 @@ def _setup_from_chain(
                     scaled=stored.is_scaled,
                     g=stored.scaling.g if stored.is_scaled else None,
                     n_values=int(smoother_high.data.size),
-                    n_nonzero=int(np.count_nonzero(smoother_high.data)),
+                    n_nonzero=counts.n_nonzero,
                     n_overflow=n_over,
                     n_underflow=n_under,
                     n_nonfinite=n_nonfinite,

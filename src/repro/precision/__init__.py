@@ -28,8 +28,10 @@ from .types import (
     count_out_of_range,
     count_subnormal,
     finite_abs_range,
+    finite_max_abs,
     fp16_distance,
     get_format,
+    range_counts,
     round_to_bf16,
     truncate,
     would_overflow,
@@ -56,11 +58,13 @@ __all__ = [
     "count_subnormal",
     "equilibration_scaling_vectors",
     "finite_abs_range",
+    "finite_max_abs",
     "fp16_distance",
     "get_format",
     "gmax_from_ratio",
     "max_scaled_ratio",
     "parse_config",
+    "range_counts",
     "round_to_bf16",
     "symmetric_equilibrate",
     "truncate",

@@ -17,6 +17,7 @@ mantissas have been rounded to 8 bits; memory accounting still charges them
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +31,11 @@ __all__ = [
     "get_format",
     "truncate",
     "round_to_bf16",
+    "RangeCounts",
     "count_out_of_range",
     "count_subnormal",
+    "finite_max_abs",
+    "range_counts",
     "would_overflow",
     "would_underflow",
     "finite_abs_range",
@@ -173,6 +177,76 @@ def truncate(x: np.ndarray, fmt: "str | FloatFormat") -> np.ndarray:
         return np.asarray(x).astype(fmt.np_dtype)
 
 
+class RangeCounts(NamedTuple):
+    """Exact counts of what truncating an array to a format faces."""
+
+    n_nonzero: int  #: entries ``!= 0`` (non-finite ones included)
+    n_nonfinite: int  #: ``inf``/``NaN`` entries
+    n_overflow: int  #: finite entries with ``|v| > fmt.max``
+    n_underflow: int  #: nonzero entries with ``|v| < fmt.tiny``
+
+
+def _as_float_array(x) -> np.ndarray:
+    a = np.asarray(x)
+    return a if a.dtype.kind == "f" else a.astype(np.float64)
+
+
+def _finite_extrema(a: np.ndarray) -> "tuple[float, float] | None":
+    """``(min, max)`` of ``a`` when every entry is finite, else ``None``.
+
+    Two reductions and no copy: a NaN anywhere makes both NaN and an
+    infinity shows up as an extreme.
+    """
+    if a.size == 0:
+        return 0.0, 0.0
+    lo, hi = float(a.min()), float(a.max())
+    return (lo, hi) if np.isfinite(lo) and np.isfinite(hi) else None
+
+
+def _count_abs_below(a: np.ndarray, t: float) -> int:
+    """``count(|a| < t)`` for ``t > 0`` (NaN excluded), without an abs copy."""
+    t = np.float64(t)  # a float64 comparison is exact for every input dtype
+    return int(np.count_nonzero(a < t)) - int(np.count_nonzero(a <= -t))
+
+
+def finite_max_abs(x: np.ndarray) -> float:
+    """Largest finite magnitude of ``x`` (0 when there is none)."""
+    a = _as_float_array(x)
+    ext = _finite_extrema(a)
+    if ext is not None:
+        return max(-ext[0], ext[1], 0.0)
+    finite = a[np.isfinite(a)]
+    return float(np.max(np.abs(finite))) if finite.size else 0.0
+
+
+def range_counts(x: np.ndarray, fmt: "str | FloatFormat") -> RangeCounts:
+    """Count nonzero, non-finite, overflowing and underflowing values.
+
+    Overflow counts finite values with ``|v| > fmt.max`` and underflow
+    nonzero values with ``|v| < fmt.tiny`` (which would flush to zero).
+    A handful of read passes and boolean temporaries, no floating-point
+    copy; an all-finite array within range skips the overflow passes.
+    """
+    fmt = get_format(fmt)
+    a = _as_float_array(x)
+    n_nonzero = int(np.count_nonzero(a))
+    ext = _finite_extrema(a)
+    if ext is not None:
+        n_nonfinite = 0
+        in_range = max(-ext[0], ext[1]) <= fmt.max
+    else:
+        n_nonfinite = int(a.size - np.count_nonzero(np.isfinite(a)))
+        in_range = False
+    n_over = 0
+    if not in_range:
+        big = np.float64(fmt.max)
+        n_over = int(np.count_nonzero(a > big) + np.count_nonzero(a < -big))
+        if n_nonfinite:
+            n_over -= int(np.count_nonzero(np.isinf(a)))
+    n_under = _count_abs_below(a, fmt.tiny) - (a.size - n_nonzero)
+    return RangeCounts(n_nonzero, n_nonfinite, n_over, n_under)
+
+
 def count_out_of_range(x: np.ndarray, fmt: "str | FloatFormat") -> tuple[int, int]:
     """Count values that would overflow / underflow in ``fmt``.
 
@@ -180,12 +254,8 @@ def count_out_of_range(x: np.ndarray, fmt: "str | FloatFormat") -> tuple[int, in
     with ``|v| > fmt.max`` and underflow counts nonzero values with
     ``|v| < fmt.tiny`` (which would flush to zero).
     """
-    fmt = get_format(fmt)
-    a = np.abs(np.asarray(x, dtype=np.float64))
-    finite = np.isfinite(a)
-    n_over = int(np.count_nonzero(finite & (a > fmt.max)))
-    n_under = int(np.count_nonzero((a > 0) & (a < fmt.tiny)))
-    return n_over, n_under
+    counts = range_counts(x, fmt)
+    return counts.n_overflow, counts.n_underflow
 
 
 def count_subnormal(x: np.ndarray, fmt: "str | FloatFormat") -> int:
@@ -196,8 +266,8 @@ def count_subnormal(x: np.ndarray, fmt: "str | FloatFormat") -> int:
     Section-4.3 underflow hazard, counted as ``tiny <= |v| < min_normal``.
     """
     fmt = get_format(fmt)
-    a = np.abs(np.asarray(x, dtype=np.float64))
-    return int(np.count_nonzero((a >= fmt.tiny) & (a < fmt.min_normal)))
+    a = _as_float_array(x)
+    return _count_abs_below(a, fmt.min_normal) - _count_abs_below(a, fmt.tiny)
 
 
 def would_overflow(x: np.ndarray, fmt: "str | FloatFormat") -> bool:

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..grid import Stencil, StructuredGrid, stencil as make_stencil
-from ..precision import FloatFormat, get_format, truncate
+from ..precision import FloatFormat, finite_max_abs, get_format, truncate
 
 __all__ = ["SGDIAMatrix", "offset_slices"]
 
@@ -180,8 +180,8 @@ class SGDIAMatrix:
         return self.nnz_stored * itemsize
 
     def max_abs(self) -> float:
-        finite = self.data[np.isfinite(self.data)]
-        return float(np.max(np.abs(finite))) if finite.size else 0.0
+        """Largest finite magnitude of the stored values."""
+        return finite_max_abs(self.data)
 
     # ------------------------------------------------------------------
     # diagonal access
@@ -327,8 +327,9 @@ class SGDIAMatrix:
         return out
 
     # ------------------------------------------------------------------
-    # CSR interoperability (setup phase only — the solve phase never
-    # touches index arrays, that is the whole point of SG-DIA)
+    # CSR interoperability (problem generators, analysis and test
+    # references — neither the setup nor the solve phase touches index
+    # arrays, that is the whole point of SG-DIA)
     # ------------------------------------------------------------------
     def to_csr(self, dtype=np.float64) -> sp.csr_matrix:
         """Convert to scipy CSR (drops boundary zeros by construction)."""
@@ -386,10 +387,10 @@ class SGDIAMatrix:
     ) -> "SGDIAMatrix":
         """Re-extract SG-DIA structure from a sparse matrix.
 
-        Used after the Galerkin triple product: coarse operators of
-        structured multigrid expand to (at most) the 3d27 pattern, so the
-        product computed in CSR is poured back into index-free storage.
-        With ``strict=True`` a nonzero entry outside the stencil raises;
+        Pours a CSR operator on ``grid`` (e.g. the reference Galerkin
+        product of :func:`repro.coarsen.galerkin_product`, whose coarse
+        operators expand to at most the 3d27 pattern) into index-free
+        storage.  With ``strict=True`` a nonzero entry outside the stencil raises;
         otherwise such entries are silently dropped.
         """
         if isinstance(stencil, str):

@@ -426,8 +426,20 @@ class TestServiceRuntime:
         with SolverService(
             problem.a, workers=1, rtol=1e-14, maxiter=100000, escalate=False
         ) as svc:
+            session = svc.sessions[0]
+            solve, in_flight = session.solve, threading.Event()
+
+            def held_solve(b, runtime=None, **kw):
+                # the claimed job waits inside the session until the cancel
+                # arrives: setup and solve of this problem take a few ms, so
+                # a timed cancel could land after the job converged
+                in_flight.set()
+                runtime.cancel.wait(30.0)
+                return solve(b, runtime=runtime, **kw)
+
+            session.solve = held_solve
             job = svc.submit(problem.b)
-            time.sleep(0.01)
+            assert in_flight.wait(30.0)
             svc.cancel(job)
             result = job.result(timeout=30.0)
             assert result.status == "cancelled"

@@ -258,3 +258,153 @@ class TestConstantStencilRAP:
         fine = {off: (6.0 if off == (0, 0, 0) else -1.0) for off in st7.offsets}
         coarse = constant_coefficient_coarse_stencil(fine, (2, 2, 2))
         assert sum(coarse.values()) == pytest.approx(0.0, abs=1e-12)
+
+
+def _csr_reference(a, t, pattern="3d27", collapse=False):
+    """The coarse operator by the FP64 CSR route the structured RAP replaced."""
+    coarse = galerkin_product(a.to_csr(), t)
+    if collapse:
+        coarse = collapse_to_pattern(coarse, t.coarse, pattern)
+    return SGDIAMatrix.from_csr(coarse, t.coarse, pattern, strict=not collapse)
+
+
+def _assert_parity(got, ref):
+    assert got.stencil.offsets == ref.stencil.offsets
+    assert got.grid == ref.grid and got.dtype == np.float64
+    scale = np.abs(ref.data).max()
+    assert np.abs(got.data - ref.data).max() <= 1e-14 * scale
+    np.testing.assert_array_equal(got.data == 0, ref.data == 0)
+
+
+class TestStructuredGalerkin:
+    """The structured RAP against the CSR product it replaced."""
+
+    @pytest.mark.parametrize("interp", ["linear", "injection"])
+    @pytest.mark.parametrize(
+        "factors", [(2, 2, 2), (1, 1, 2), (2, 1, 1), (4, 4, 4)], ids=str
+    )
+    @pytest.mark.parametrize("pattern", ["3d7", "3d15", "3d19", "3d27"])
+    def test_matches_csr_product(self, pattern, factors, interp):
+        # odd and prime axes put clamp rows past the last coarse point
+        for shape, ncomp in [
+            ((7, 5, 11), 1), ((7, 5, 11), 3), ((7, 5, 11), 4),
+            ((13, 13, 13), 1), ((13, 13, 13), 3), ((8, 6, 10), 1),
+        ]:
+            a = random_sgdia(shape, pattern, ncomp=ncomp, seed=sum(shape) + ncomp)
+            t = build_transfer(a.grid, factors, kind=interp)
+            _assert_parity(galerkin_coarse_sgdia(a, t), _csr_reference(a, t))
+
+    @pytest.mark.parametrize("ncomp", [1, 3])
+    @pytest.mark.parametrize("target", ["3d7", "3d19"])
+    @pytest.mark.parametrize("pattern", ["3d7", "3d19", "3d27"])
+    def test_collapse_matches_reference(self, pattern, target, ncomp):
+        a = random_sgdia((9, 7, 11), pattern, ncomp=ncomp, spd=True, seed=3)
+        t = build_transfer(a.grid)
+        got = galerkin_coarse_sgdia(a, t, coarse_pattern=target, collapse=True)
+        _assert_parity(got, _csr_reference(a, t, target, collapse=True))
+        full = galerkin_product(a.to_csr(), t)
+        np.testing.assert_allclose(
+            np.asarray(got.to_csr().sum(axis=1)).ravel(),
+            np.asarray(full.sum(axis=1)).ravel(),
+            rtol=1e-12,
+            atol=1e-14,
+        )
+
+    @pytest.mark.parametrize("fmt", ["fp16", "fp32"])
+    def test_low_precision_input_computed_in_fp64(self, fmt):
+        a = random_sgdia((9, 8, 7), "3d19", spd=True).astype(fmt)
+        t = build_transfer(a.grid)
+        _assert_parity(galerkin_coarse_sgdia(a, t), _csr_reference(a, t))
+
+    def test_aos_layout(self):
+        a = random_sgdia((9, 8, 7), "3d27", ncomp=2).as_layout("aos")
+        t = build_transfer(a.grid)
+        _assert_parity(galerkin_coarse_sgdia(a, t), _csr_reference(a, t))
+
+    def test_boundary_entries_ignored(self):
+        """Entries pointing outside the grid are not part of the operator,
+        whether the payload could be used in place or not."""
+        for pattern in ("3d27", "3d7"):
+            a = random_sgdia((9, 8, 7), pattern)
+            clean = galerkin_coarse_sgdia(a, build_transfer(a.grid))
+            a.data[...] += 1.0  # breaks the boundary convention
+            t = build_transfer(a.grid)
+            got = galerkin_coarse_sgdia(a, t)
+            _assert_parity(got, _csr_reference(a, t))
+            assert not np.array_equal(got.data, clean.data)
+
+    def test_input_untouched(self):
+        a = laplace27_matrix((9, 9, 9))
+        before = a.data.copy()
+        t = build_transfer(a.grid)
+        coarse = galerkin_coarse_sgdia(a, t, coarse_pattern="3d7", collapse=True)
+        np.testing.assert_array_equal(a.data, before)
+        assert not np.shares_memory(coarse.data, a.data)
+
+    def test_uncoarsened_transfer_is_identity(self):
+        a = random_sgdia((5, 6, 7), "3d27")
+        coarse = galerkin_coarse_sgdia(a, build_transfer(a.grid, (1, 1, 1)))
+        np.testing.assert_array_equal(coarse.data, a.data)
+        assert not np.shares_memory(coarse.data, a.data)
+
+    def test_laplace27_bit_identical(self):
+        """Dyadic weights and one product per term: the constant-coefficient
+        operator comes out exactly as the CSR product computes it."""
+        a = laplace27_matrix((12, 11, 13))
+        t = build_transfer(a.grid)
+        np.testing.assert_array_equal(
+            galerkin_coarse_sgdia(a, t).data, _csr_reference(a, t).data
+        )
+
+    def test_nonfinite_propagates(self):
+        a = random_sgdia((9, 8, 7), "3d7")
+        a.diag_view(a.stencil.diag_index)[4, 4, 4] = np.inf
+        coarse = galerkin_coarse_sgdia(a, build_transfer(a.grid))
+        assert not np.isfinite(coarse.data).all()
+
+    def test_no_csr_round_trip(self, monkeypatch):
+        """The setup path stays in SG-DIA storage: no CSR conversion and no
+        sparse product, in either pattern mode."""
+        import repro.coarsen.galerkin as gal
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("CSR path called")
+
+        monkeypatch.setattr(SGDIAMatrix, "to_csr", forbidden)
+        monkeypatch.setattr(SGDIAMatrix, "from_csr", classmethod(forbidden))
+        monkeypatch.setattr(gal, "galerkin_product", forbidden)
+        monkeypatch.setattr(gal, "collapse_to_pattern", forbidden)
+        for ncomp in (1, 3):
+            a = random_sgdia((9, 8, 7), "3d19", ncomp=ncomp)
+            t = build_transfer(a.grid)
+            assert galerkin_coarse_sgdia(a, t).stencil.name == "3d27"
+            same = galerkin_coarse_sgdia(a, t, coarse_pattern="3d19", collapse=True)
+            assert same.stencil.name == "3d19"
+
+    def test_wide_fine_stencil_rejected(self):
+        from repro.grid import Stencil
+
+        wide = Stencil("wide", ((0, 0, 0), (2, 0, 0), (-2, 0, 0)))
+        a = SGDIAMatrix.zeros(StructuredGrid((8, 8, 8)), wide)
+        with pytest.raises(ValueError, match="radius-1"):
+            galerkin_coarse_sgdia(a, build_transfer(a.grid))
+
+    def test_wide_interpolation_rejected(self, monkeypatch):
+        """A 1-D coupling beyond radius 1 is an error, never truncated."""
+        import repro.coarsen.transfer as tr
+
+        def wide_1d(n, factor):
+            p = interp_1d(n, factor).tolil()
+            p[n - 1, 0] = 0.25  # the last fine point also feeds coarse point 0
+            return p.tocsr()
+
+        monkeypatch.setitem(tr.INTERP_1D, "wide", wide_1d)
+        a = random_sgdia((9, 9, 9), "3d7")
+        t = build_transfer(a.grid, kind="wide")
+        with pytest.raises(ValueError, match="radius 1"):
+            galerkin_coarse_sgdia(a, t)
+
+    def test_grid_mismatch_rejected(self):
+        a = random_sgdia((8, 8, 8), "3d7")
+        with pytest.raises(ValueError, match="does not match"):
+            galerkin_coarse_sgdia(a, build_transfer(StructuredGrid((8, 8, 6))))

@@ -280,3 +280,69 @@ class TestAutoShiftLevid:
     def test_nominal_format_reported(self):
         cfg = K64P32D16_SETUP_SCALE.with_(shift_levid="auto")
         assert cfg.storage_format_for_level(5).name == "fp16"
+
+
+class TestStructuredGalerkinHierarchy:
+    """Default ``mg_setup`` (structured RAP) against a hierarchy finalized
+    from the CSR-reference chain: same solve, same footprint."""
+
+    @staticmethod
+    def _csr_chain(a, options, monkeypatch):
+        import repro.mg.setup as ms
+        from repro.coarsen import collapse_to_pattern, galerkin_product
+        from repro.sgdia import SGDIAMatrix
+
+        def csr_galerkin(a_fine, transfer, coarse_pattern="3d27", collapse=False):
+            coarse = galerkin_product(a_fine.to_csr(), transfer)
+            if collapse:
+                coarse = collapse_to_pattern(coarse, transfer.coarse, coarse_pattern)
+            return SGDIAMatrix.from_csr(
+                coarse, transfer.coarse, coarse_pattern, strict=not collapse
+            )
+
+        with monkeypatch.context() as m:
+            m.setattr(ms, "galerkin_coarse_sgdia", csr_galerkin)
+            return ms._build_fp64_chain(a, options)
+
+    @staticmethod
+    def _footprint(h):
+        rep = h.memory_report()
+        return rep["matrix_bytes"] + rep["smoother_bytes"] + rep["transfer_bytes"]
+
+    @pytest.mark.parametrize(
+        "name",
+        ["laplace27", "laplace27e8", "rhd", "oil", "weather", "rhd-3t",
+         "oil-4c", "solid-3d"],
+    )
+    def test_matches_csr_reference_chain(self, name, monkeypatch):
+        self._check(name, None, monkeypatch)
+
+    @pytest.mark.parametrize("name", ["rhd", "weather", "laplace27"])
+    def test_collapsed_matches_csr_reference_chain(self, name, monkeypatch):
+        self._check(name, "same", monkeypatch)
+
+    def _check(self, name, coarse_pattern, monkeypatch):
+        from repro.mg import mg_setup_from_chain
+        from repro.problems import build_problem, consistent_rhs
+        from repro.solvers import solve
+
+        prob = build_problem(name, shape=(12, 12, 10), seed=0)
+        options = prob.mg_options
+        if coarse_pattern is not None:
+            options = options.with_(coarse_pattern=coarse_pattern)
+        h = mg_setup(prob.a, options=options)
+        mats, transfers = self._csr_chain(prob.a, options, monkeypatch)
+        h_ref = mg_setup_from_chain(mats, transfers, options=options)
+        assert h.n_levels == h_ref.n_levels >= 2
+        for lev, ref in zip(h.levels[1:], mats[1:]):
+            assert lev.grid == ref.grid
+            assert lev.nnz_actual == ref.nnz
+        assert self._footprint(h) == self._footprint(h_ref)
+        b = consistent_rhs(prob.a, np.random.default_rng(5))
+        its = []
+        for hier in (h, h_ref):
+            res = solve(prob.solver, prob.a, b, preconditioner=hier.precondition,
+                        rtol=prob.rtol, maxiter=300)
+            assert res.status == "converged", (name, res.status)
+            its.append(res.iterations)
+        assert its[0] == its[1]

@@ -12,9 +12,12 @@ from repro.precision import (
     FP64,
     FloatFormat,
     count_out_of_range,
+    count_subnormal,
     finite_abs_range,
+    finite_max_abs,
     fp16_distance,
     get_format,
+    range_counts,
     round_to_bf16,
     truncate,
     would_overflow,
@@ -146,6 +149,61 @@ class TestRangeChecks:
 
     def test_finite_abs_range_empty(self):
         assert finite_abs_range(np.array([0.0, np.nan])) == (0.0, 0.0)
+
+
+def _masked_reference(x, fmt):
+    """The copy-and-mask counts the copy-free audit must reproduce."""
+    fmt = get_format(fmt)
+    a = np.abs(np.asarray(x, dtype=np.float64))
+    finite = np.isfinite(a)
+    return {
+        "n_nonzero": int(np.count_nonzero(x)),
+        "n_nonfinite": int(a.size - np.count_nonzero(finite)),
+        "n_overflow": int(np.count_nonzero(finite & (a > fmt.max))),
+        "n_underflow": int(np.count_nonzero((a > 0) & (a < fmt.tiny))),
+        "n_subnormal": int(
+            np.count_nonzero((a >= fmt.tiny) & (a < fmt.min_normal))
+        ),
+        "max_abs": float(a[finite].max()) if finite.any() else 0.0,
+    }
+
+
+class TestCopyFreeAudit:
+    """``range_counts``/``finite_max_abs``/``count_subnormal`` are exact."""
+
+    EDGES = [
+        0.0, -0.0, 1.0, -1.0, 65504.0, -65504.0, 65520.0, -7e4, 1e39, -1e300,
+        2.0**-24, -(2.0**-24), 2.0**-25, 2.0**-14, -(2.0**-15), 1e-46, -1e-320,
+        np.inf, -np.inf, np.nan,
+    ]
+
+    @pytest.mark.parametrize("fmt", ["fp16", "bf16", "fp32", "fp64"])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    @pytest.mark.parametrize("subset", ["all", "finite", "in_range", "empty"])
+    def test_matches_masked_reference(self, fmt, dtype, subset):
+        rng = np.random.default_rng(7)
+        with np.errstate(over="ignore"):
+            edges = np.asarray(self.EDGES, dtype=np.float64).astype(dtype)
+            vals = np.concatenate([
+                edges, (rng.standard_normal(200) * 10.0 ** rng.integers(-12, 8, 200))
+            ]).astype(dtype)
+        if subset == "finite":
+            vals = vals[np.isfinite(vals)]
+        elif subset == "in_range":
+            vals = vals[np.isfinite(vals) & (np.abs(vals) <= 6e4)]
+        elif subset == "empty":
+            vals = vals[:0]
+        vals = rng.permutation(vals).reshape(-1, 1)
+        ref = _masked_reference(vals, fmt)
+        got = range_counts(vals, fmt)
+        assert got._asdict() == {k: ref[k] for k in got._fields}
+        assert count_out_of_range(vals, fmt) == (ref["n_overflow"], ref["n_underflow"])
+        assert count_subnormal(vals, fmt) == ref["n_subnormal"]
+        assert finite_max_abs(vals) == ref["max_abs"]
+
+    def test_integer_input(self):
+        assert range_counts([0, 3, 70000], "fp16") == (2, 0, 1, 0)
+        assert finite_max_abs([-5, 2]) == 5.0
 
 
 class TestFP16Distance:
