@@ -12,15 +12,16 @@ This package turns the one-shot solver into a serving stack:
   vectors;
 - :mod:`repro.serve.session` — :class:`SolverSession`, warm-started
   solves, drift-aware operator refresh, batched ``solve_many``;
-- :mod:`repro.serve.service` — :class:`SolverService`, a bounded-queue
-  multi-worker endpoint with admission control and per-job tracing;
+- :mod:`repro.serve.service` — the one job lifecycle both services share
+  (bounded admission, queued-job expiry, retry backoff, status document,
+  draining close) and :class:`SolverService`, its worker-thread mode;
 - :mod:`repro.serve.shm` — checksummed ``multiprocessing.shared_memory``
   segments carrying spill-format hierarchies between processes, verified
   on every attach;
 - :mod:`repro.serve.procpool` — :class:`ProcessSolverService`, the same
-  serving contract over supervised *worker processes*: consistent-hash
-  cache sharding, heartbeat crash/hang detection, bounded job redelivery
-  with poison quarantine, and graceful drain that unlinks every segment.
+  lifecycle over supervised *worker processes*: consistent-hash cache
+  sharding, heartbeat crash/hang detection, bounded job redelivery with
+  poison quarantine, and a close that unlinks every segment.
 """
 
 from .cache import CacheStats, HierarchyCache, load_hierarchy, save_hierarchy

@@ -1,31 +1,33 @@
-"""Threaded solve service: bounded job queue over warm sessions.
+"""Solve services: one job lifecycle core, two worker modes.
 
-:class:`SolverService` is the process-level front end of the serving layer:
-clients submit right-hand sides (single vectors or multi-RHS blocks)
-against the service's operator stream and receive
-:class:`~repro.solvers.SolveResult` objects.  Worker threads each own a
-:class:`~repro.serve.session.SolverSession` — warm-start state is
-per-worker — while all sessions share one :class:`HierarchyCache`, so the
-expensive setup runs once no matter how many workers serve it.
+Clients submit right-hand sides (single vectors or multi-RHS blocks)
+against a service's operator stream and receive
+:class:`~repro.solvers.SolveResult` objects through :class:`SolveJob`
+futures.  :class:`ServiceCore` owns the whole life of a job, once for
+both modes: bounded admission (``block=True`` waits for a slot,
+``block=False`` raises :class:`ServiceSaturated`, a draining service
+raises :class:`ServiceClosed`), one control thread (queued-job expiry,
+retry release, dispatch, status document), retry-or-finalize of every
+attempt, and a draining, idempotent ``close()``.  A mode supplies only
+its workers:
 
-Admission control is a bounded queue: ``submit(..., block=True)`` applies
-backpressure (the caller waits for a slot), ``block=False`` raises
-:class:`ServiceSaturated` immediately — the two standard reactions to a
-saturated solver backend.  Every job runs under a tracing span and feeds
-the ``serve.jobs.*`` counters.
+- :class:`SolverService` (here): worker threads, each owning a
+  :class:`~repro.serve.session.SolverSession` — warm-start state is
+  per-worker — while all sessions share one :class:`HierarchyCache`, so
+  the expensive setup runs once no matter how many workers serve it;
+- :class:`~repro.serve.procpool.ProcessSolverService`: supervised worker
+  processes serving hierarchies from checksummed shared memory.
 
 Jobs are deadline-aware futures: each :class:`SolveJob` carries an optional
 :class:`~repro.resilience.runtime.Deadline` and a per-job
 :class:`~repro.resilience.runtime.CancelToken`, combined into the
-:class:`~repro.resilience.runtime.ExecContext` the worker threads hand to
-their session — an expired or cancelled job returns a result with status
+:class:`~repro.resilience.runtime.ExecContext` the worker hands to its
+session — an expired or cancelled job returns a result with status
 ``"deadline"`` / ``"cancelled"`` carrying the partial iterate, it never
-blocks the caller forever.  A watchdog thread expires jobs that age out
-*while still queued* (no worker time is spent on a job that could not meet
-its deadline anyway) and respawns worker threads that died, and a
-:class:`~repro.resilience.runtime.RetryPolicy` re-runs failed attempts with
-exponential backoff slept on the job's cancel token (a cancelled job never
-waits out a backoff window).
+blocks the caller forever.  A job that ages out *while still queued* is
+expired without spending worker time, and a retry waits out its
+:class:`~repro.resilience.runtime.RetryPolicy` backoff on the core's heap,
+so no worker idles through a backoff and a cancel cuts it short.
 
 The module also hosts :func:`run_serve_bench`, the ``repro serve --bench``
 workload: a 50-timestep weather replay measuring setup amortization from
@@ -35,9 +37,11 @@ as a schema-valid ``BENCH_serve.json``.
 
 from __future__ import annotations
 
-import queue
+import heapq
+import os
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +50,7 @@ from ..mg import MGOptions
 from ..observability import events as _events
 from ..observability import metrics as _metrics
 from ..observability import trace as _trace
-from ..observability.telemetry import ServiceStats, write_status
+from ..observability.telemetry import STATUS_SCHEMA, ServiceStats, write_status
 from ..precision import PrecisionConfig
 from ..resilience.runtime import (
     CancelToken,
@@ -87,7 +91,7 @@ class ServiceClosed(RuntimeError):
     """
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveJob:
     """One queued solve request (a deadline-aware future).
 
@@ -96,10 +100,12 @@ class SolveJob:
     whatever its solver status), ``"failed"`` (the worker raised),
     ``"deadline"`` / ``"cancelled"`` (the job was interrupted — the result
     still carries the best iterate available, possibly the zero initial
-    guess when the job never left the queue).  ``result()`` raising
-    :class:`TimeoutError` does **not** consume the job: the future stays
-    retrievable and a later ``result()`` call returns normally once the
-    worker (or the watchdog) finishes it.
+    guess when the job never left the queue), ``"poisoned"`` (quarantined
+    after repeated worker-process deaths).  A retry moves ``"running"``
+    back to ``"pending"``.  ``result()`` raising :class:`TimeoutError`
+    does **not** consume the job: the future stays retrievable and a later
+    ``result()`` call returns normally once the job finishes.  Jobs
+    compare by identity.
     """
 
     id: int
@@ -147,7 +153,7 @@ class SolveJob:
             raise self._error
         return self._result
 
-    # -- state transitions (claim/finish race between worker & watchdog) --
+    # -- state transitions (claim/finish race between worker & control) --
     def _claim(self, worker: "int | None") -> bool:
         """Atomically move ``pending`` → ``running``; False if already
         claimed or finished (the loser of the race backs off)."""
@@ -159,19 +165,20 @@ class SolveJob:
             return True
 
     def _finish(self, state: str, result=None, error=None) -> bool:
+        """Record the terminal state once; False if already finished.
+        The service releases waiters (``_done``) after booking it."""
         with self._lock:
-            if self._done.is_set():
+            if self.state not in ("pending", "running"):
                 return False
             self.state = state
             self._result = result
             self._error = error
-            self._done.set()
             return True
 
     def _requeue(self) -> bool:
-        """Move ``running`` back to ``pending`` (worker-death redelivery)."""
+        """Move ``running`` back to ``pending`` (retry or redelivery)."""
         with self._lock:
-            if self._done.is_set() or self.state != "running":
+            if self.state != "running":
                 return False
             self.state = "pending"
             self.worker = None
@@ -227,80 +234,69 @@ def classify_result(result, batched: bool) -> str:
     return "done"
 
 
-class SolverService:
-    """Multi-worker solve service over one operator stream.
+class ServiceCore:
+    """Job lifecycle shared by the thread and process services.
+
+    A mode subclasses the core, builds its workers (records with an
+    ``index``), then calls :meth:`_launch`.  Its hooks:
+
+    - ``_wait(timeout)`` / ``_wake()``: the control thread's sleep, and
+      the early wake-up on a submit, a cancel or a freed worker;
+    - ``_supervise()``: worker liveness, once per control round;
+    - ``_idle_workers()`` / ``_hand_off(worker, job)``: dispatch of a
+      claimed job (``_hand_off`` returns False when the worker stays free);
+    - ``_shutdown()``: stop the workers once every job is terminal;
+    - ``_target(kwargs)``, ``_worker_rows()``, ``_cache_summary()``: the
+      job's operator and the mode's part of the status document.
 
     Parameters
     ----------
-    a, config, options:
-        The operator and setup parameters handed to each worker's session.
-    workers:
-        Number of worker threads (each with its own warm-start session).
     queue_size:
-        Bound of the admission queue — the backpressure knob.
-    cache:
-        Shared hierarchy cache (created when omitted).  Pass a cache with a
-        ``spill_dir`` to survive eviction pressure across services.
+        Bound of the pending deque — the backpressure knob.  Only live
+        queued jobs count: a cancelled or expired job frees its slot.
     retry_policy:
         :class:`~repro.resilience.runtime.RetryPolicy` for re-running
         failed attempts (exceptions and failure-classified statuses such as
-        ``"corrupted"``).  The default policy has ``max_retries=0`` — no
-        retries, the pre-existing behaviour.  Backoff is slept on the job's
-        cancel token, so cancelling a job interrupts its backoff wait.
+        ``"corrupted"``); the default never retries.
     default_deadline:
-        Per-job wall-clock budget in seconds applied to every submission
-        that does not pass its own ``deadline``; ``None`` (default) leaves
-        jobs unbounded.
-    watchdog_interval:
-        Poll period of the watchdog thread that expires queued jobs past
-        their deadline and respawns dead workers.
-    session_kwargs:
-        Extra :class:`SolverSession` parameters (``solver``, ``rtol``,
-        ``maxiter``, ``drift_threshold``, ``escalate``...).
+        Wall-clock budget (seconds) for submissions without a ``deadline``;
+        ``None`` leaves jobs unbounded.
+    poll_interval:
+        Period of the control thread's round when nothing wakes it.
+    status_path:
+        Where :meth:`status_doc` is published for ``repro top`` (at most
+        every 0.5 s, and once more on close).
     """
+
+    #: ``"thread"`` or ``"process"``: the status document's ``mode``.
+    mode = ""
 
     def __init__(
         self,
-        a: SGDIAMatrix,
-        config: "PrecisionConfig | None" = None,
-        options: "MGOptions | None" = None,
-        workers: int = 2,
-        queue_size: int = 8,
-        cache: "HierarchyCache | None" = None,
-        retry_policy: "RetryPolicy | None" = None,
-        default_deadline: "float | None" = None,
-        watchdog_interval: float = 0.02,
-        status_path: "str | None" = None,
-        **session_kwargs,
+        queue_size: int,
+        retry_policy: "RetryPolicy | None",
+        default_deadline: "float | None",
+        poll_interval: float,
+        status_path: "str | None",
     ) -> None:
-        if workers < 1:
-            raise ValueError("need at least one worker")
         if queue_size < 1:
             raise ValueError("queue_size must be >= 1")
-        self.cache = cache if cache is not None else HierarchyCache()
+        self.queue_size = int(queue_size)
         self.retry_policy = retry_policy or RetryPolicy()
         self.default_deadline = default_deadline
-        self.watchdog_interval = float(watchdog_interval)
-        self.telemetry = ServiceStats()
+        self.poll_interval = float(poll_interval)
         self.status_path = status_path
+        self.telemetry = ServiceStats()
         self._status_written = 0.0
-        self.sessions = [
-            SolverSession(
-                a, config=config, options=options, cache=self.cache,
-                **session_kwargs,
-            )
-            for _ in range(workers)
-        ]
-        self._queue: "queue.Queue[SolveJob | None]" = queue.Queue(
-            maxsize=queue_size
-        )
-        self._lock = threading.Lock()
-        self._submit_cond = threading.Condition(self._lock)
-        self._pending_submits = 0
-        self._sentinels_sent = False
-        self._next_id = 0
-        self._closed = False
+        self._cond = threading.Condition()
+        self._pending: deque[SolveJob] = deque()
         self._jobs: dict[int, SolveJob] = {}
+        self._retries: list[tuple[float, int, SolveJob]] = []
+        self._next_id = 0
+        self._pending_submits = 0
+        self._closing = False
+        self._closed = False
+        self._close_lock = threading.Lock()
         self.n_submitted = 0
         self.n_completed = 0
         self.n_failed = 0
@@ -308,27 +304,26 @@ class SolverService:
         self.n_retried = 0
         self.n_deadline = 0
         self.n_cancelled = 0
+        self.n_poisoned = 0
         self.n_respawns = 0
-        self._threads = [
-            threading.Thread(
-                target=self._worker, args=(w,), name=f"solve-worker-{w}",
-                daemon=True,
-            )
-            for w in range(workers)
-        ]
-        for t in self._threads:
-            t.start()
-        self._stop = threading.Event()
-        self._watchdog_thread = threading.Thread(
-            target=self._watchdog, name="solve-watchdog", daemon=True
+
+    def _launch(self, **attrs) -> None:
+        """Start the control thread once the mode's workers exist."""
+        self._control = threading.Thread(
+            target=self._control_loop, name=f"solve-{self.mode}-control",
+            daemon=True,
         )
-        self._watchdog_thread.start()
+        self._control.start()
         _events.emit(
-            "info", "service.start", "thread service up",
-            mode="thread", workers=workers,
+            "info", "service.start", f"{self.mode} service up",
+            mode=self.mode, **attrs,
         )
 
-    # ------------------------------------------------------------------
+    def _target(self, kwargs: dict) -> "str | None":
+        """Operator fingerprint for a new job (may consume ``kwargs``)."""
+        return None
+
+    # -- submission -----------------------------------------------------
     def submit(
         self,
         b: np.ndarray,
@@ -348,290 +343,258 @@ class SolverService:
         falls back to the service's ``default_deadline``.  A closed or
         draining service raises :class:`ServiceClosed` — the closed check
         and the queue insertion are coordinated with ``close()`` through
-        an in-flight-submit counter, so a submission can never land behind
-        the shutdown sentinels and starve forever.
+        an in-flight-submit counter, so ``close()`` never returns while a
+        submission it accepted is still unfinished.  The process service
+        also takes ``operator=`` (see
+        :meth:`~repro.serve.procpool.ProcessSolverService.publish`); other
+        keywords go to the session's ``solve``.
         """
-        with self._submit_cond:
-            if self._closed:
+        with self._cond:
+            if self._closing:
                 raise ServiceClosed("service is closed to new submissions")
             self._pending_submits += 1
         try:
+            fp = self._target(kwargs)
             if deadline is None:
                 deadline = self.default_deadline
             if deadline is not None and not isinstance(deadline, Deadline):
                 deadline = Deadline.after(float(deadline))
-            with self._lock:
+            with self._cond:
+                if len(self._pending) >= self.queue_size:
+                    ok = block and self._cond.wait_for(
+                        lambda: (
+                            len(self._pending) < self.queue_size
+                            or self._closing
+                        ),
+                        timeout,
+                    )
+                    if self._closing:
+                        raise ServiceClosed(
+                            "service closed while waiting for a queue slot"
+                        )
+                    if not ok:
+                        self.n_rejected += 1
+                        _metrics.incr("serve.jobs.rejected")
+                        raise ServiceSaturated(
+                            f"solve queue is full ({self.queue_size} pending)"
+                        )
                 job = SolveJob(
                     id=self._next_id, b=np.asarray(b), batched=batched,
-                    kwargs=kwargs, deadline=deadline,
+                    kwargs=kwargs, deadline=deadline, fp=fp,
                     t_submit=time.perf_counter(),
                 )
                 self._next_id += 1
                 self._jobs[job.id] = job
-            try:
-                self._queue.put(job, block=block, timeout=timeout)
-            except queue.Full:
-                with self._lock:
-                    self._jobs.pop(job.id, None)
-                self.n_rejected += 1
-                _metrics.incr("serve.jobs.rejected")
-                raise ServiceSaturated(
-                    f"solve queue is full ({self._queue.maxsize} pending)"
-                ) from None
-            self.n_submitted += 1
+                self._pending.append(job)
+                self.n_submitted += 1
             _metrics.incr("serve.jobs.submitted")
+            self._wake()
             return job
         finally:
-            with self._submit_cond:
+            with self._cond:
                 self._pending_submits -= 1
-                self._submit_cond.notify_all()
+                self._cond.notify_all()
 
     def cancel(self, job: SolveJob) -> None:
         """Cooperatively cancel a queued or in-flight job.
 
-        A queued job is finalized by the watchdog (or skipped by the worker
-        that dequeues it); a running job aborts at its next cooperative
+        A queued job (or one waiting out a retry backoff) is finalized by
+        the control thread; a running job aborts at its next cooperative
         check and returns its partial iterate with status ``"cancelled"``.
         """
         job.request_cancel()
+        self._wake()
 
-    def solve(self, b: np.ndarray, **kwargs) -> SolveResult:
+    def solve(self, b: np.ndarray, **kwargs):
         """Convenience: submit and wait."""
         return self.submit(b, **kwargs).result()
 
-    def update_operator(self, a: SGDIAMatrix) -> list[str]:
-        """Refresh the operator on every session (between batches).
+    # -- control thread -------------------------------------------------
+    def _control_loop(self) -> None:
+        while True:
+            self._wait(self.poll_interval)
+            self._supervise()
+            self._expire_pending()
+            self._release_retries()
+            self._dispatch()
+            self._maybe_write_status()
+            if self._closing:
+                with self._cond:
+                    if not self._jobs:
+                        return
 
-        Callers are responsible for quiescing in-flight jobs when the
-        operator swap must be atomic with respect to running solves.
+    def _expire_pending(self) -> None:
+        """Finalize queued jobs that are past their deadline or cancelled.
+
+        Covers jobs waiting out a retry backoff too (they are ``pending``
+        on the retry heap), so a cancel cuts a backoff short.
         """
-        return [s.update_operator(a) for s in self.sessions]
-
-    # ------------------------------------------------------------------
-    def _worker(self, index: int) -> None:
-        session = self.sessions[index]
-        while True:
-            job = self._queue.get()
-            if job is None:  # shutdown sentinel
-                self._queue.task_done()
-                return
-            try:
-                if job._claim(index):
-                    self._run_job(session, job, index)
-                # else: the watchdog already expired/cancelled this job
-            except BaseException as exc:  # pragma: no cover - last resort
-                # _run_job delivers exceptions itself; this catch is defense
-                # in depth so an unexpected escape (e.g. from the retry
-                # bookkeeping) never kills the worker mid-queue.
-                self._finalize(job, "failed", error=exc)
-            finally:
-                self._queue.task_done()
-
-    def _run_job(self, session: SolverSession, job: SolveJob, index: int) -> None:
-        """Run one claimed job: attempt → classify → retry or deliver."""
-        if job.t_dispatch == 0.0:
-            job.t_dispatch = time.perf_counter()
-            if job.t_submit:
-                self.telemetry.record(
-                    "queue_wait", job.t_dispatch - job.t_submit
-                )
-        ctx = ExecContext(deadline=job.deadline, cancel=job.cancel)
-        policy = self.retry_policy
-        attempt = 0
-        while True:
-            job.attempts = attempt + 1
-            pre = ctx.check()
-            if pre is not None:
-                # Expired/cancelled before this attempt started: the last
-                # attempt's iterate (if any) was already delivered, so the
-                # only thing left is the zero-progress classification.
+        with self._cond:
+            pending = [j for j in self._jobs.values() if j.state == "pending"]
+        for job in pending:
+            status = ExecContext(
+                deadline=job.deadline, cancel=job.cancel
+            ).check()
+            if status is not None and job._claim(None):
                 self._finalize(
-                    job, pre, result=interrupted_result(job, pre)
+                    job, status, result=interrupted_result(job, status)
                 )
-                return
-            try:
-                t_solve = time.perf_counter()
-                with _trace.span(
-                    "job", id=job.id, worker=index, attempt=attempt
-                ):
-                    if job.batched:
-                        result = session.solve_many(
-                            job.b, runtime=ctx, **job.kwargs
-                        )
-                    else:
-                        result = session.solve(
-                            job.b, runtime=ctx, **job.kwargs
-                        )
-                self.telemetry.record(
-                    "solve", time.perf_counter() - t_solve
-                )
-            except BaseException as exc:
-                if not self._backoff(job, policy, attempt, ctx):
-                    self._finalize(job, "failed", error=exc)
+
+    def _release_retries(self) -> None:
+        """Move retries whose backoff has elapsed back onto the deque."""
+        now = time.monotonic()
+        with self._cond:
+            while self._retries and self._retries[0][0] <= now:
+                _due, _id, job = heapq.heappop(self._retries)
+                if job.state == "pending":  # not expired during backoff
+                    self._pending.append(job)
+
+    def _dispatch(self) -> None:
+        """Hand each idle worker its next job (at most one in flight)."""
+        for worker in self._idle_workers():
+            while True:
+                with self._cond:
+                    job = self._pending.popleft() if self._pending else None
+                    if job is not None:
+                        self._cond.notify_all()  # a queue slot freed up
+                if job is None:
                     return
-                attempt += 1
-                continue
-            state = classify_result(result, job.batched)
-            if state in INTERRUPTED_STATUSES:
-                # Interrupts are not retried — the budget is spent (or the
-                # caller asked to stop); the partial iterate is the answer.
-                self._finalize(job, state, result=result)
-                return
-            if state == "done" or not self._backoff(job, policy, attempt, ctx):
-                self._finalize(job, "done", result=result)
-                return
-            attempt += 1
+                if not job._claim(worker.index):
+                    continue  # expired/cancelled while queued
+                job.attempts += 1
+                if job.t_dispatch == 0.0:
+                    job.t_dispatch = time.perf_counter()
+                    if job.t_submit:
+                        self.telemetry.record(
+                            "queue_wait", job.t_dispatch - job.t_submit
+                        )
+                if self._hand_off(worker, job):
+                    break  # this worker is now busy
 
-    def _backoff(
-        self, job: SolveJob, policy: RetryPolicy, attempt: int, ctx: ExecContext
-    ) -> bool:
-        """Sleep out one retry backoff; False when the job must not retry.
+    # -- outcomes -------------------------------------------------------
+    def _complete(self, job: SolveJob, result=None, error=None) -> None:
+        """Classify one finished attempt, then retry or finalize the job."""
+        if error is not None:
+            if not self._schedule_retry(job):
+                self._finalize(job, "failed", error=error)
+            return
+        state = classify_result(result, job.batched)
+        if state in INTERRUPTED_STATUSES:
+            # Interrupts are not retried — the budget is spent (or the
+            # caller asked to stop); the partial iterate is the answer.
+            self._finalize(job, state, result=result)
+        elif state == "done" or not self._schedule_retry(job):
+            self._finalize(job, "done", result=result)
 
-        The sleep happens on the job's cancel token, so cancellation (and
-        the next loop-top deadline check) cuts the wait short.
-        """
-        if attempt >= policy.max_retries or ctx.check() is not None:
+    def _schedule_retry(self, job: SolveJob) -> bool:
+        """Put a failed attempt on the backoff heap; False if it must not
+        retry (retries exhausted, or the job expired or was cancelled)."""
+        policy = self.retry_policy
+        ctx = ExecContext(deadline=job.deadline, cancel=job.cancel)
+        if job.attempts - 1 >= policy.max_retries or ctx.check() is not None:
             return False
-        self.n_retried += 1
+        if not job._requeue():
+            return False
+        due = time.monotonic() + policy.delay(job.attempts - 1, key=job.id)
+        with self._cond:
+            self.n_retried += 1
+            heapq.heappush(self._retries, (due, job.id, job))
         _metrics.incr("service.job.retry")
         self.telemetry.count("retried")
         _events.emit(
             "warning", "service.job.retry",
-            f"job {job.id} attempt {attempt + 1} failed; backing off",
-            job=job.id, attempt=attempt + 1,
+            f"job {job.id} attempt {job.attempts} failed; backing off",
+            job=job.id, attempt=job.attempts,
         )
-        job.cancel.wait(policy.delay(attempt, key=job.id))
         return True
 
     def _finalize(self, job: SolveJob, state: str, result=None, error=None):
         """Deliver a terminal state exactly once and update the counters."""
-        if not job._finish(state, result=result, error=error):
-            return False
-        with self._lock:
+        with self._cond:
+            if not job._finish(state, result=result, error=error):
+                return False
             self._jobs.pop(job.id, None)
-        if job.t_submit:
-            self.telemetry.record("e2e", time.perf_counter() - job.t_submit)
-        if error is not None:
-            self.n_failed += 1
-            _metrics.incr("serve.jobs.failed")
-            self.telemetry.count("failed")
-        else:
-            self.n_completed += 1
-            _metrics.incr("serve.jobs.completed")
-            self.telemetry.count("completed")
-        if state == "deadline":
-            self.n_deadline += 1
-            _metrics.incr("service.job.deadline")
-            self.telemetry.count("deadline_miss")
-            _events.emit(
-                "warning", "service.job.deadline",
-                f"job {job.id} missed its deadline", job=job.id,
-            )
-        elif state == "cancelled":
-            self.n_cancelled += 1
-            _metrics.incr("service.job.cancelled")
-            self.telemetry.count("cancelled")
-            _events.emit(
-                "info", "service.job.cancelled",
-                f"job {job.id} cancelled", job=job.id,
-            )
+            if job in self._pending:  # frees its admission slot now
+                self._pending.remove(job)
+            if error is not None:
+                self.n_failed += 1
+                _metrics.incr("serve.jobs.failed")
+                self.telemetry.count("failed")
+            else:
+                self.n_completed += 1
+                _metrics.incr("serve.jobs.completed")
+                self.telemetry.count("completed")
+            if state == "deadline":
+                self.n_deadline += 1
+                _metrics.incr("service.job.deadline")
+                self.telemetry.count("deadline_miss")
+                _events.emit(
+                    "warning", "service.job.deadline",
+                    f"job {job.id} missed its deadline", job=job.id,
+                )
+            elif state == "cancelled":
+                self.n_cancelled += 1
+                _metrics.incr("service.job.cancelled")
+                self.telemetry.count("cancelled")
+                _events.emit(
+                    "info", "service.job.cancelled",
+                    f"job {job.id} cancelled", job=job.id,
+                )
+            elif state == "poisoned":
+                self.n_poisoned += 1
+                _metrics.incr("service.job.poisoned")
+                _events.emit(
+                    "critical", "service.job.poisoned",
+                    f"job {job.id} quarantined after {job.redeliveries} "
+                    "redeliveries",
+                    job=job.id, redeliveries=job.redeliveries,
+                )
+            if job.t_submit:
+                self.telemetry.record(
+                    "e2e", time.perf_counter() - job.t_submit
+                )
+            job._done.set()  # waiters now see the booked outcome
+            self._cond.notify_all()
         return True
 
-    # ------------------------------------------------------------------
-    def _watchdog(self) -> None:
-        """Expire queued jobs past their deadline; respawn dead workers."""
-        while not self._stop.wait(self.watchdog_interval):
-            self._maybe_write_status()
-            with self._lock:
-                pending = [
-                    j for j in self._jobs.values() if j.state == "pending"
-                ]
-            for job in pending:
-                status = ExecContext(
-                    deadline=job.deadline, cancel=job.cancel
-                ).check()
-                if status is None:
-                    continue
-                if job._claim(None):  # the dequeuing worker will skip it
-                    self._finalize(
-                        job, status,
-                        result=interrupted_result(job, status),
-                    )
-            for w, t in enumerate(self._threads):
-                if not t.is_alive() and not self._closed:
-                    nt = threading.Thread(
-                        target=self._worker, args=(w,),
-                        name=f"solve-worker-{w}", daemon=True,
-                    )
-                    self._threads[w] = nt
-                    self.n_respawns += 1
-                    _metrics.incr("service.worker.respawn")
-                    _events.emit(
-                        "error", "service.worker.respawn",
-                        f"worker thread {w} died; respawned", worker=w,
-                    )
-                    nt.start()
-
-    # ------------------------------------------------------------------
+    # -- shutdown -------------------------------------------------------
     def drain(self) -> None:
-        """Wait for all queued jobs to finish."""
-        self._queue.join()
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop accepting jobs; optionally wait for workers to exit.
-
-        Queued jobs are still processed (the sentinels land behind them);
-        submissions racing the shutdown either complete normally or raise
-        :class:`ServiceClosed` — never enqueue behind a sentinel.
-        """
-        with self._submit_cond:
-            self._closed = True
-            # A submitter that passed the closed check may still be
-            # between check and queue insertion: wait it out, so the
-            # sentinels below are guaranteed to be the last entries.
-            self._submit_cond.wait_for(lambda: self._pending_submits == 0)
-            if self._sentinels_sent:
-                send = False
-            else:
-                send = self._sentinels_sent = True
-        if send:
-            # Stop the watchdog first so it cannot respawn a worker that
-            # is about to consume its shutdown sentinel.
-            self._stop.set()
-            self._watchdog_thread.join()
-            for _ in self._threads:
-                self._queue.put(None)
-        if wait:
-            for t in self._threads:
-                t.join()
+        """Wait until every accepted job has reached a terminal state."""
+        with self._cond:
+            self._cond.wait_for(lambda: not self._jobs)
 
     def close(self) -> None:
-        """Graceful drain: reject new jobs, finish queued ones, stop.
+        """Graceful drain: reject new jobs, finish accepted ones, stop.
 
         After ``close()`` returns every job accepted before the close has
-        a terminal state, the workers have exited, and any concurrent
+        a terminal state, the workers have exited, any concurrent
         ``submit()`` has either been accepted (and completed) or raised
-        :class:`ServiceClosed`.
+        :class:`ServiceClosed`, and the final status document is written.
+        Idempotent.
         """
-        with self._submit_cond:
+        with self._close_lock:
+            if self._closed:
+                return
+            with self._cond:
+                self._closing = True
+                self._cond.notify_all()  # fail queue-slot waiters fast
+                self._cond.wait_for(lambda: self._pending_submits == 0)
+            self._wake()
+            self._control.join()
+            self._shutdown()
             self._closed = True
-            self._submit_cond.wait_for(lambda: self._pending_submits == 0)
-        self._queue.join()
-        self.shutdown(wait=True)
-        _events.emit("info", "service.stop", "thread service drained")
-        if self.status_path:
-            try:
-                write_status(self.status_path, self.status_doc())
-            except OSError:  # pragma: no cover - status is best-effort
-                pass
+        _events.emit("info", "service.stop", f"{self.mode} service drained")
+        self._maybe_write_status(min_interval=0.0)
 
-    def __enter__(self) -> "SolverService":
+    def __enter__(self):
         return self
 
     def __exit__(self, *exc) -> None:
-        self.shutdown()
+        self.close()
 
+    # -- introspection --------------------------------------------------
     def stats(self) -> dict:
+        """Counters and latency histograms; modes add their own keys."""
         return {
             "submitted": self.n_submitted,
             "completed": self.n_completed,
@@ -641,58 +604,31 @@ class SolverService:
             "deadline": self.n_deadline,
             "cancelled": self.n_cancelled,
             "worker_respawns": self.n_respawns,
-            "workers": len(self.sessions),
-            "queue_size": self._queue.maxsize,
+            "queue_size": self.queue_size,
             "latency": self.telemetry.snapshot(),
-            "cache": {
-                **self.cache.stats.to_dict(),
-                "entries": len(self.cache),
-                "resident_bytes": self.cache.resident_bytes,
-            },
-            "sessions": [s.stats() for s in self.sessions],
         }
 
     def status_doc(self) -> dict:
         """Live-state document for ``repro top`` / ``serve --watch``."""
-        import os as _os
-
-        with self._lock:
-            inflight = {
-                j.worker: 1
-                for j in self._jobs.values()
-                if j.state == "running" and j.worker is not None
-            }
+        with self._cond:
+            depth = len(self._pending)
         journal = _events.get_journal()
         return {
-            "schema": "repro-top/1",
+            "schema": STATUS_SCHEMA,
             "ts": time.time(),
-            "pid": _os.getpid(),
-            "mode": "thread",
-            "workers": [
-                {
-                    "index": w,
-                    "pid": _os.getpid(),
-                    "alive": t.is_alive(),
-                    "ready": t.is_alive(),
-                    "inflight": inflight.get(w, 0),
-                    "heartbeat_age": 0.0 if t.is_alive() else None,
-                }
-                for w, t in enumerate(self._threads)
-            ],
-            "queue_depth": self._queue.qsize(),
+            "pid": os.getpid(),
+            "mode": self.mode,
+            "workers": self._worker_rows(),
+            "queue_depth": depth,
             "counts": {
                 "submitted": self.n_submitted,
                 "completed": self.n_completed,
                 "failed": self.n_failed,
                 "deadline": self.n_deadline,
                 "cancelled": self.n_cancelled,
-                "poisoned": 0,
+                "poisoned": self.n_poisoned,
             },
-            "cache": {
-                **self.cache.stats.to_dict(),
-                "hit_rate": self.cache.stats.hit_rate,
-                "entries": len(self.cache),
-            },
+            "cache": self._cache_summary(),
             "latency": self.telemetry.snapshot(),
             "events": journal.to_dicts(10) if journal is not None else [],
         }
@@ -709,6 +645,189 @@ class SolverService:
             write_status(self.status_path, self.status_doc())
         except OSError:  # pragma: no cover - status is best-effort
             pass
+
+
+@dataclass(eq=False)
+class _ThreadWorker:
+    """One worker thread and its hand-off slot: ``wake`` set with a
+    ``job`` runs it, set with ``job=None`` stops the thread."""
+
+    index: int
+    thread: "threading.Thread | None" = None
+    job: "SolveJob | None" = None
+    wake: threading.Event = field(default_factory=threading.Event)
+
+
+class SolverService(ServiceCore):
+    """Multi-worker thread service over one operator stream.
+
+    Parameters
+    ----------
+    a, config, options:
+        The operator and setup parameters handed to each worker's session.
+    workers:
+        Number of worker threads (each with its own warm-start session).
+        A worker thread that dies is respawned by the control thread.
+    cache:
+        Shared hierarchy cache (created when omitted).  Pass a cache with a
+        ``spill_dir`` to survive eviction pressure across services.
+    queue_size, retry_policy, default_deadline, poll_interval, status_path:
+        The job lifecycle (see :class:`ServiceCore`).
+    session_kwargs:
+        Extra :class:`SolverSession` parameters (``solver``, ``rtol``,
+        ``maxiter``, ``drift_threshold``, ``escalate``...).
+    """
+
+    mode = "thread"
+
+    def __init__(
+        self,
+        a: SGDIAMatrix,
+        config: "PrecisionConfig | None" = None,
+        options: "MGOptions | None" = None,
+        workers: int = 2,
+        queue_size: int = 8,
+        cache: "HierarchyCache | None" = None,
+        retry_policy: "RetryPolicy | None" = None,
+        default_deadline: "float | None" = None,
+        poll_interval: float = 0.02,
+        status_path: "str | None" = None,
+        **session_kwargs,
+    ) -> None:
+        if workers < 1:
+            raise ValueError("need at least one worker")
+        super().__init__(
+            queue_size, retry_policy, default_deadline, poll_interval,
+            status_path,
+        )
+        self.cache = cache if cache is not None else HierarchyCache()
+        self.sessions = [
+            SolverSession(
+                a, config=config, options=options, cache=self.cache,
+                **session_kwargs,
+            )
+            for _ in range(workers)
+        ]
+        self._wake_event = threading.Event()
+        self._workers = [_ThreadWorker(w) for w in range(workers)]
+        for w in self._workers:
+            self._start_thread(w)
+        self._launch(workers=workers)
+
+    def update_operator(self, a: SGDIAMatrix) -> list[str]:
+        """Refresh the operator on every session (between batches).
+
+        Callers are responsible for quiescing in-flight jobs when the
+        operator swap must be atomic with respect to running solves.
+        """
+        return [s.update_operator(a) for s in self.sessions]
+
+    # -- worker threads -------------------------------------------------
+    def _start_thread(self, w: _ThreadWorker) -> None:
+        w.thread = threading.Thread(
+            target=self._worker_loop, args=(w,),
+            name=f"solve-worker-{w.index}", daemon=True,
+        )
+        w.thread.start()
+
+    def _worker_loop(self, w: _ThreadWorker) -> None:
+        """Run each attempt the control thread hands over; a wake without
+        a job stops the thread."""
+        session = self.sessions[w.index]
+        while True:
+            w.wake.wait()
+            w.wake.clear()
+            job = w.job
+            if job is None:
+                return
+            ctx = ExecContext(deadline=job.deadline, cancel=job.cancel)
+            solve = session.solve_many if job.batched else session.solve
+            try:
+                t_solve = time.perf_counter()
+                with _trace.span(
+                    "job", id=job.id, worker=w.index, attempt=job.attempts - 1
+                ):
+                    result = solve(job.b, runtime=ctx, **job.kwargs)
+                self.telemetry.record("solve", time.perf_counter() - t_solve)
+                self._complete(job, result=result)
+            except BaseException as exc:
+                # The caller gets the original exception object (after any
+                # retries); the worker thread survives it.
+                self._complete(job, error=exc)
+            finally:
+                w.job = None
+                self._wake()  # free for the next dispatch
+
+    # -- core hooks -----------------------------------------------------
+    def _wait(self, timeout: float) -> None:
+        self._wake_event.wait(timeout)
+        self._wake_event.clear()
+
+    def _wake(self) -> None:
+        self._wake_event.set()
+
+    def _supervise(self) -> None:
+        """Respawn worker threads that died."""
+        for w in self._workers:
+            if w.thread.is_alive():
+                continue
+            self._start_thread(w)  # picks up a job handed to the dead one
+            with self._cond:
+                self.n_respawns += 1
+            _metrics.incr("service.worker.respawn")
+            _events.emit(
+                "error", "service.worker.respawn",
+                f"worker thread {w.index} died; respawned", worker=w.index,
+            )
+
+    def _idle_workers(self) -> list[_ThreadWorker]:
+        return [
+            w for w in self._workers
+            if w.job is None and w.thread.is_alive()
+        ]
+
+    def _hand_off(self, w: _ThreadWorker, job: SolveJob) -> bool:
+        w.job = job
+        w.wake.set()
+        return True
+
+    def _shutdown(self) -> None:
+        for w in self._workers:
+            w.wake.set()  # no job left: every thread exits
+        for w in self._workers:
+            w.thread.join()
+
+    def _worker_rows(self) -> list[dict]:
+        return [
+            {
+                "index": w.index,
+                "pid": os.getpid(),
+                "alive": w.thread.is_alive(),
+                "ready": w.thread.is_alive(),
+                "inflight": int(w.job is not None),
+                "heartbeat_age": 0.0 if w.thread.is_alive() else None,
+            }
+            for w in self._workers
+        ]
+
+    def _cache_summary(self) -> dict:
+        return {
+            **self.cache.stats.to_dict(),
+            "hit_rate": self.cache.stats.hit_rate,
+            "entries": len(self.cache),
+        }
+
+    def stats(self) -> dict:
+        return {
+            **super().stats(),
+            "workers": len(self.sessions),
+            "cache": {
+                **self.cache.stats.to_dict(),
+                "entries": len(self.cache),
+                "resident_bytes": self.cache.resident_bytes,
+            },
+            "sessions": [s.stats() for s in self.sessions],
+        }
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,8 @@ convergence concern at the bottom of the V-cycle.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import scipy.linalg as sla
 
@@ -31,6 +33,10 @@ class CoarseDirectSolver(Smoother):
     def __init__(self) -> None:
         super().__init__()
         self._lu = None
+        # scipy's ``lu_solve`` is not safe to call on one factorization
+        # from several threads at once (it corrupts the heap), and the
+        # worker threads of a solve service share one cached hierarchy.
+        self._lu_lock = threading.Lock()
 
     def _setup_scaled(self, high: SGDIAMatrix, stored: StoredMatrix) -> None:
         n = high.grid.ndof
@@ -66,7 +72,8 @@ class CoarseDirectSolver(Smoother):
             # instead of raising from inside LAPACK.
             x[...] = np.nan
             return
-        sol = sla.lu_solve(self._lu, bb)
+        with self._lu_lock:
+            sol = sla.lu_solve(self._lu, bb)
         x[...] = sol.reshape(x.shape).astype(x.dtype)
 
     def extra_nbytes(self) -> int:

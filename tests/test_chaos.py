@@ -6,7 +6,8 @@ cache spill, an expired deadline — is *classified* by the stack (a solver
 status, a ``ValueError`` from a loader, a rebuilt cache entry), never an
 unhandled exception escaping to the caller.  Plus the service-layer
 robustness battery: backpressure under concurrent submitters, job states,
-retry with backoff, per-job deadlines, and the worker watchdog.
+retry with backoff, per-job deadlines, worker respawn, and one lifecycle
+contract run against both the thread and the process service.
 """
 
 import threading
@@ -16,7 +17,9 @@ import numpy as np
 import pytest
 
 from repro.mg import mg_setup
+from repro.observability import events as _events
 from repro.observability import metrics as _metrics
+from repro.observability.telemetry import read_status
 from repro.precision import K64P32D16_SETUP_SCALE
 from repro.problems import build_problem
 from repro.resilience import (
@@ -31,7 +34,9 @@ from repro.resilience import (
 from repro.resilience.chaos import CHAOS_SITES, ChaosReport
 from repro.resilience.runtime import Deadline, RetryPolicy
 from repro.serve.cache import HierarchyCache, hierarchy_nbytes
-from repro.serve.service import ServiceSaturated, SolverService
+from repro.serve.procpool import ProcessSolverService
+from repro.serve.service import ServiceClosed, ServiceSaturated, SolverService
+from repro.serve.session import SolverSession
 from repro.solvers import FAILURE_STATUSES, INTERRUPTED_STATUSES, solve
 
 
@@ -384,7 +389,7 @@ class TestServiceRuntime:
         self, problem, metrics
     ):
         with SolverService(
-            problem.a, workers=1, watchdog_interval=0.005, rtol=1e-9
+            problem.a, workers=1, poll_interval=0.005, rtol=1e-9
         ) as svc:
             blocker = svc.submit(problem.b)
             doomed = svc.submit(
@@ -411,7 +416,7 @@ class TestServiceRuntime:
 
     def test_cancel_queued_job(self, problem, metrics):
         with SolverService(
-            problem.a, workers=1, watchdog_interval=0.005, rtol=1e-9
+            problem.a, workers=1, poll_interval=0.005, rtol=1e-9
         ) as svc:
             blocker = svc.submit(problem.b)
             queued = svc.submit(problem.b)
@@ -479,14 +484,18 @@ class TestServiceRuntime:
         ) as svc:
             session = svc.sessions[0]
             orig = session.solve
+            raised = []
 
             def always_broken(b, **kw):
-                raise RuntimeError("permanent failure")
+                raised.append(RuntimeError("permanent failure"))
+                raise raised[-1]
 
             session.solve = always_broken
             job = svc.submit(problem.b)
-            with pytest.raises(RuntimeError, match="permanent failure"):
+            with pytest.raises(RuntimeError, match="permanent failure") as exc:
                 job.result(timeout=60.0)
+            # the caller gets the very exception object the worker raised
+            assert exc.value is raised[-1]
             assert job.state == "failed"
             assert job.attempts == 2  # original + one retry
             assert svc.n_failed == 1
@@ -521,25 +530,25 @@ class TestServiceRuntime:
 
     def test_watchdog_respawns_dead_worker(self, problem, metrics):
         svc = SolverService(
-            problem.a, workers=2, watchdog_interval=0.005, rtol=1e-9
+            problem.a, workers=2, poll_interval=0.005, rtol=1e-9
         )
         try:
-            svc._queue.put(None)  # rogue sentinel kills one worker
+            svc._workers[0].wake.set()  # a wake without a job stops it
             deadline = time.monotonic() + 5.0
             while svc.n_respawns == 0 and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert svc.n_respawns >= 1
-            assert sum(t.is_alive() for t in svc._threads) == 2
+            assert sum(w.thread.is_alive() for w in svc._workers) == 2
             result = svc.solve(problem.b)
             assert result.status == "converged"
         finally:
-            svc.shutdown()
+            svc.close()
         assert metrics.get("service.worker.respawn") >= 1
 
     def test_batched_job_deadline_classifies_all_columns(self, problem):
         b = np.stack([problem.b.ravel(), problem.b.ravel()], axis=-1)
         with SolverService(
-            problem.a, workers=1, watchdog_interval=0.005, rtol=1e-9
+            problem.a, workers=1, poll_interval=0.005, rtol=1e-9
         ) as svc:
             blocker = svc.submit(problem.b)
             doomed = svc.submit(
@@ -552,11 +561,238 @@ class TestServiceRuntime:
             blocker.result(timeout=60.0)
 
     def test_shutdown_is_idempotent_and_stops_watchdog(self, problem):
-        from repro.serve.service import ServiceClosed
-
         svc = SolverService(problem.a, workers=1, rtol=1e-9)
-        svc.shutdown()
-        svc.shutdown()
-        assert not svc._watchdog_thread.is_alive()
+        svc.close()
+        svc.close()
+        assert not svc._control.is_alive()
         with pytest.raises(ServiceClosed):
             svc.submit(problem.b)
+
+
+# ----------------------------------------------------------------------
+# one job lifecycle, both service modes
+# ----------------------------------------------------------------------
+
+@pytest.fixture(params=["thread", "process"])
+def mode(request):
+    return request.param
+
+
+def make_service(mode, prob, **kw):
+    """A one-worker service of either mode on ``prob`` (fast polling)."""
+    kw.setdefault("poll_interval", 0.005)
+    kw.setdefault("rtol", 1e-9)
+    workers = kw.pop("workers", 1)
+    if mode == "thread":
+        return SolverService(prob.a, workers=workers, **kw)
+    return ProcessSolverService(
+        prob.a, processes=workers, heartbeat_interval=0.02, **kw
+    )
+
+
+def script_sessions(monkeypatch, fail=0):
+    """Patch ``SolverSession.solve`` for both modes (worker processes fork
+    with the patch, so apply it before the service starts).
+
+    ``submit(..., hold=True)`` occupies the worker until the job is
+    cancelled; the first ``fail`` calls raise (``fail=-1``: every call).
+    Returns the list of raised exceptions.
+    """
+    orig, calls, raised = SolverSession.solve, [0], []
+
+    def solve(self, b, runtime=None, hold=False, **kw):
+        calls[0] += 1
+        if fail < 0 or calls[0] <= fail:
+            raised.append(RuntimeError("scripted failure"))
+            raise raised[-1]
+        if hold:
+            runtime.cancel.wait(60.0)
+        return orig(self, b, runtime=runtime, **kw)
+
+    monkeypatch.setattr(SolverSession, "solve", solve)
+    return raised
+
+
+def wait_until(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.005)
+
+
+class TestLifecycleRegressions:
+    """In both modes, admission counts only live queued jobs, and leaving
+    a ``with`` block closes the service (final status, ``service.stop``)."""
+
+    def test_saturation_counts_only_live_queued_jobs(
+        self, mode, problem, monkeypatch
+    ):
+        script_sessions(monkeypatch)
+        with make_service(mode, problem, queue_size=2) as svc:
+            blocker = svc.submit(problem.b, hold=True)
+            wait_until(lambda: blocker.state == "running")
+            queued = [svc.submit(problem.b, block=False) for _ in range(2)]
+            with pytest.raises(ServiceSaturated, match="2 pending"):
+                svc.submit(problem.b, block=False)
+            for job in queued:
+                svc.cancel(job)
+                assert job.result(timeout=30.0).status == "cancelled"
+            # finished queued jobs no longer hold their slots
+            extra = svc.submit(problem.b, block=False)
+            svc.cancel(blocker)
+            assert blocker.result(timeout=30.0).status == "cancelled"
+            assert extra.result(timeout=60.0).status == "converged"
+            assert svc.n_rejected == 1
+
+    def test_with_exit_writes_final_status_and_stop_event(
+        self, mode, problem, tmp_path
+    ):
+        path = tmp_path / "status.json"
+        with _events.capturing() as journal:
+            with make_service(mode, problem, status_path=str(path)) as svc:
+                for job in [svc.submit(problem.b) for _ in range(3)]:
+                    job.result(timeout=60.0)
+        doc = read_status(str(path))
+        assert doc["mode"] == mode
+        assert doc["counts"]["completed"] == 3
+        assert "service.stop" in [e.kind for e in journal.events()]
+
+
+class TestServiceLifecycleContract:
+    """The job lifecycle both services share — admission, queued expiry,
+    cancellation, retry, close — checked against the process mode. The
+    thread mode runs the same core and is held to the same contract by
+    ``TestServiceBackpressure`` and ``TestServiceRuntime`` above."""
+
+    def test_books_balance_under_concurrent_submitters(
+        self, problem, metrics
+    ):
+        n_threads, per_thread = 4, 5
+        accepted, rejected = [], []
+        lock = threading.Lock()
+        with make_service("process", problem, workers=2, queue_size=2) as svc:
+
+            def submitter(k):
+                for i in range(per_thread):
+                    try:
+                        job = svc.submit(problem.b, block=False)
+                        with lock:
+                            accepted.append(job)
+                    except ServiceSaturated:
+                        with lock:
+                            rejected.append((k, i))
+                        time.sleep(0.002)
+
+            threads = [
+                threading.Thread(target=submitter, args=(k,))
+                for k in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+                assert not t.is_alive()
+            svc.drain()
+            stats = svc.stats()
+        assert all(j.result(timeout=0).status == "converged" for j in accepted)
+        assert len(accepted) + len(rejected) == n_threads * per_thread
+        assert stats["submitted"] == stats["completed"] == len(accepted)
+        assert stats["rejected"] == len(rejected)
+        assert metrics.get("serve.jobs.submitted") == len(accepted)
+        assert metrics.get("serve.jobs.completed") == len(accepted)
+        assert metrics.get("serve.jobs.rejected") == len(rejected)
+
+    def test_queued_job_past_deadline_expires(
+        self, problem, monkeypatch
+    ):
+        script_sessions(monkeypatch)
+        with make_service("process", problem) as svc:
+            blocker = svc.submit(problem.b, hold=True)
+            wait_until(lambda: blocker.state == "running")
+            doomed = svc.submit(
+                problem.b, deadline=Deadline(at=-1.0, clock=time.monotonic)
+            )
+            late = doomed.result(timeout=30.0)
+            assert doomed.state == "deadline" and late.status == "deadline"
+            assert late.detail["expired_before_run"]
+            svc.cancel(blocker)
+            blocker.result(timeout=30.0)
+            assert svc.n_deadline == 1
+
+    def test_cancel_queued_and_in_flight_jobs(
+        self, problem, monkeypatch
+    ):
+        script_sessions(monkeypatch)
+        with make_service("process", problem) as svc:
+            running = svc.submit(problem.b, hold=True)
+            wait_until(lambda: running.state == "running")
+            queued = svc.submit(problem.b)
+            svc.cancel(queued)
+            never_ran = queued.result(timeout=30.0)
+            assert queued.state == "cancelled"
+            assert never_ran.status == "cancelled"
+            assert never_ran.detail["expired_before_run"]
+            svc.cancel(running)
+            partial = running.result(timeout=30.0)
+            assert running.state == "cancelled"
+            assert partial.status == "cancelled"
+            assert np.isfinite(partial.x).all()
+            assert svc.n_cancelled == 2
+
+    def test_retry_then_success(self, problem, monkeypatch, metrics):
+        script_sessions(monkeypatch, fail=1)
+        with make_service(
+            "process", problem,
+            retry_policy=RetryPolicy(max_retries=2, base_delay=0.001),
+        ) as svc:
+            job = svc.submit(problem.b)
+            assert job.result(timeout=60.0).status == "converged"
+            assert job.attempts == 2
+            assert svc.n_retried == 1
+        assert metrics.get("service.job.retry") == 1
+
+    def test_exhausted_retries_deliver_the_failure(
+        self, problem, monkeypatch
+    ):
+        script_sessions(monkeypatch, fail=-1)
+        with make_service(
+            "process", problem,
+            retry_policy=RetryPolicy(max_retries=1, base_delay=0.001),
+        ) as svc:
+            job = svc.submit(problem.b)
+            with pytest.raises(RuntimeError, match="scripted failure"):
+                job.result(timeout=60.0)
+            assert job.state == "failed"
+            assert job.attempts == 2  # original + one retry
+            assert svc.n_failed == 1
+
+    def test_cancel_during_long_backoff_returns_fast(
+        self, problem, monkeypatch
+    ):
+        script_sessions(monkeypatch, fail=-1)
+        with make_service(
+            "process", problem,
+            retry_policy=RetryPolicy(
+                max_retries=3, base_delay=30.0, jitter=0.0
+            ),
+        ) as svc:
+            job = svc.submit(problem.b)
+            wait_until(lambda: svc.n_retried == 1)  # now in its backoff
+            t0 = time.monotonic()
+            svc.cancel(job)
+            result = job.result(timeout=10.0)
+            assert time.monotonic() - t0 < 5.0
+            assert result.status == "cancelled"
+            assert job.state == "cancelled"
+
+    def test_close_drains_then_rejects_then_is_a_no_op(self, problem):
+        svc = make_service("process", problem, queue_size=8)
+        jobs = [svc.submit(problem.b) for _ in range(4)]
+        svc.close()
+        for job in jobs:  # every accepted job finished before close returned
+            assert job.state == "done"
+            assert job.result(timeout=0).status == "converged"
+        with pytest.raises(ServiceClosed):
+            svc.submit(problem.b)
+        svc.close()
+        assert svc.stats()["completed"] == 4

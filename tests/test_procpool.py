@@ -40,7 +40,7 @@ def make_service(prob, **kw):
     kw.setdefault("config", K64P32D16_SETUP_SCALE)
     kw.setdefault("heartbeat_interval", 0.02)
     kw.setdefault("hang_timeout", 0.5)
-    kw.setdefault("tick", 0.01)
+    kw.setdefault("poll_interval", 0.01)
     kw.setdefault("solver", prob.solver)
     kw.setdefault("rtol", prob.rtol)
     kw.setdefault("maxiter", 300)

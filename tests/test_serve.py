@@ -411,7 +411,7 @@ class TestSolverService:
             assert svc.n_rejected >= 1
             svc.drain()
         finally:
-            svc.shutdown()
+            svc.close()
 
     def test_worker_exception_delivered_to_caller(self, lap):
         with SolverService(
@@ -427,7 +427,7 @@ class TestSolverService:
 
     def test_submit_after_shutdown_rejected(self, lap):
         svc = SolverService(lap.a, options=lap.mg_options, workers=1)
-        svc.shutdown()
+        svc.close()
         with pytest.raises(RuntimeError):
             svc.submit(lap.b)
 

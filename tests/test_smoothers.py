@@ -1,9 +1,16 @@
 """Tests for the smoother family."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import repro
 from repro.kernels import spmv_plain
 from repro.sgdia import StoredMatrix
 from repro.smoothers import (
@@ -190,6 +197,53 @@ class TestDirect:
         x = np.zeros_like(b)
         s.smooth(b, x)
         assert np.isnan(x).all()
+
+    def test_concurrent_applies_of_one_factorization(self):
+        # The worker threads of a solve service share one cached hierarchy,
+        # so one coarse solver is applied from several threads at once. A
+        # subprocess runs it: an unsafe apply corrupts the heap and aborts
+        # the interpreter rather than failing an assertion.
+        code = textwrap.dedent("""
+            import sys
+            import threading
+            import numpy as np
+            from repro.problems import build_problem
+            from repro.sgdia import StoredMatrix
+            from repro.smoothers import CoarseDirectSolver
+
+            a = build_problem("laplace27", shape=(3, 3, 3), seed=0).a
+            s = CoarseDirectSolver()
+            s.setup(a, StoredMatrix.truncate(a, "fp32", "fp32", scale="never"))
+            b = np.ones(a.grid.field_shape, dtype=np.float32)
+            x0 = np.zeros_like(b)
+            s.smooth(b, x0)
+
+            same = []
+
+            def apply():
+                x = np.zeros_like(b)
+                for _ in range(10000):
+                    s.smooth(b, x)
+                same.append(np.array_equal(x, x0))
+
+            sys.setswitchinterval(1e-6)  # interleave the applies finely
+            threads = [threading.Thread(target=apply) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert same == [True] * 4
+        """)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
 
     def test_too_large_rejected(self):
         import repro.smoothers.direct as direct_mod

@@ -510,7 +510,7 @@ class TestProcessTelemetryParity:
         svc = ProcessSolverService(
             prob.a, options=prob.mg_options, processes=1,
             config=K64P32D16_SETUP_SCALE, heartbeat_interval=0.02,
-            hang_timeout=5.0, tick=0.01, **kw)
+            hang_timeout=5.0, poll_interval=0.01, **kw)
         try:
             with obs_trace.tracing() as tr, obs_metrics.collecting() as got:
                 r = svc.submit(prob.b, warm_start=False).result(timeout=120)
@@ -550,7 +550,7 @@ class TestProcessTelemetryParity:
             prob.a, options=prob.mg_options, processes=1,
             config=K64P32D16_SETUP_SCALE, solver=prob.solver,
             rtol=prob.rtol, maxiter=300, escalate=False,
-            heartbeat_interval=0.02, hang_timeout=5.0, tick=0.01)
+            heartbeat_interval=0.02, hang_timeout=5.0, poll_interval=0.01)
         try:
             for _ in range(2):
                 svc.submit(prob.b, warm_start=False).result(timeout=120)
