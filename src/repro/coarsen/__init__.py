@@ -7,10 +7,18 @@ from .galerkin import (
     galerkin_product,
 )
 from .interp import injection_1d, interp_1d
-from .transfer import Transfer, build_transfer, choose_coarsen_factors
+from .transfer import (
+    AxisTable,
+    Transfer,
+    axis_tables,
+    build_transfer,
+    choose_coarsen_factors,
+)
 
 __all__ = [
+    "AxisTable",
     "Transfer",
+    "axis_tables",
     "build_transfer",
     "choose_coarsen_factors",
     "collapse_to_pattern",

@@ -32,7 +32,7 @@ import scipy.sparse as sp
 
 from ..grid import StructuredGrid, stencil as make_stencil
 from ..sgdia import SGDIAMatrix, offset_slices
-from .transfer import INTERP_1D, Transfer
+from .transfer import AxisTable, Transfer
 
 __all__ = [
     "galerkin_product",
@@ -89,11 +89,12 @@ def galerkin_coarse_sgdia(
                 f"got {st.name} of radius {st.radius}"
             )
     box = _load_box(a_fine)
-    wdtype = np.dtype(transfer.p.dtype).str
-    for axis, (n, factor) in enumerate(zip(grid.shape, transfer.factors)):
+    wdtype = transfer.dtype.str
+    for axis, factor in enumerate(transfer.factors):
         if factor > 1:
             box = _coarsen_axis(
-                box, axis, factor, _axis_terms(n, factor, transfer.kind, wdtype)
+                box, axis, factor,
+                _axis_terms(transfer.prolong_axes[axis], factor, wdtype),
             )
     if np.may_share_memory(box, a_fine.data):  # no axis coarsened
         box = box.copy()
@@ -156,25 +157,22 @@ def _box_index(off: tuple[int, int, int]) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=256)
-def _axis_terms(n: int, factor: int, kind: str, wdtype: str) -> tuple:
+def _axis_terms(table: AxisTable, factor: int, wdtype: str) -> tuple:
     """The 1-D Galerkin product ``Pᵀ T P`` of a tridiagonal ``T`` as terms.
 
-    ``P`` is the ``(n, nc)`` 1-D interpolation of ``kind`` with weights
-    rounded to the transfer's dtype ``wdtype``, as the CSR product sees
-    them.  Each term ``(o, oc, q, lo, hi, coef)`` (box indices ``o``,
+    ``P`` is the ``(n, nc)`` 1-D interpolation of a transfer's prolongation
+    ``table`` (tables are shared per ``(n, factor, kind)``, so this cache
+    keys on the table itself), with weights rounded to the transfer's dtype
+    ``wdtype``.  Each term ``(o, oc, q, lo, hi, coef)`` (box indices ``o``,
     ``oc`` in ``0..2``) adds ``coef[I - lo] * T_o[factor*I + q]`` to the
     coarse diagonal ``oc`` at coarse rows ``lo <= I < hi``, where ``T_o``
     is the fine diagonal ``o``.  This covers the clamp rows past the last
     coarse point.  A weight pair coupling coarse points more than one
     apart raises, so the product is never silently truncated.
     """
-    p1 = sp.csr_matrix(INTERP_1D[kind](n, factor), dtype=np.dtype(wdtype))
-    nc = p1.shape[1]
-    weights = p1.data.astype(np.float64)
-    rows = [
-        list(zip(p1.indices[lo:hi].tolist(), weights[lo:hi].tolist()))
-        for lo, hi in zip(p1.indptr[:-1], p1.indptr[1:])
-    ]
+    n, nc = table.n_out, table.n_in
+    wround = np.dtype(wdtype).type
+    rows = [[(c, float(wround(w))) for c, w in table.terms(i)] for i in range(n)]
     coefs: dict[tuple[int, int, int], np.ndarray] = {}
     for i in range(n):
         for o in (-1, 0, 1):
@@ -184,8 +182,8 @@ def _axis_terms(n: int, factor: int, kind: str, wdtype: str) -> tuple:
                 for c2, w2 in rows[i + o]:
                     if abs(c2 - c1) > 1:
                         raise ValueError(
-                            f"{kind} interpolation with factor {factor} on "
-                            f"{n} points couples coarse points {c1} and {c2}: "
+                            f"interpolation with factor {factor} on {n} "
+                            f"points couples coarse points {c1} and {c2}: "
                             "the coarse operator would exceed radius 1"
                         )
                     key = (o + 1, c2 - c1 + 1, i - factor * c1)

@@ -1,13 +1,13 @@
 """Kernel backend registry: pluggable implementations of the hot kernels.
 
-A :class:`KernelBackend` bundles plan-based implementations of the five
-hot operations — SpMV, colored Gauss-Seidel sweep, Jacobi sweep, wavefront
-SpTRSV, and the fused BLAS-1 vector ops.  The ``numpy`` reference backend
-(the planned kernels from :mod:`repro.kernels.plan`) is always available;
-the compiled ``c`` backend (:mod:`repro.kernels.backend_c`) is built on
-first use when cffi and a C compiler are present, and silently skipped
-otherwise — the library must run identically (modulo speed) on a bare
-numpy install.
+A :class:`KernelBackend` bundles plan-based implementations of the hot
+operations — SpMV, colored Gauss-Seidel sweep, Jacobi sweep, wavefront
+SpTRSV, the fused BLAS-1 vector ops and the grid transfers.  The ``numpy``
+reference backend (the planned kernels from :mod:`repro.kernels.plan`) is
+always available; the compiled ``c`` backend (:mod:`repro.kernels.backend_c`)
+is built on first use when cffi and a C compiler are present, and silently
+skipped otherwise — the library must run identically (modulo speed) on a
+bare numpy install.
 
 Selection order:
 
@@ -52,7 +52,9 @@ class KernelBackend:
     ``sptrsv``) receive a :class:`~repro.kernels.plan.KernelPlan` as their
     first argument; the BLAS-1 entries mirror :mod:`repro.kernels.blas1`.
     ``jit`` marks backends that compile on first use (so benchmarks warm
-    them up before timing).
+    them up before timing).  ``restrict`` / ``prolongate`` apply a
+    :class:`~repro.coarsen.Transfer` as ``(transfer, x, dtype, out,
+    add)``; ``None`` leaves transfers to their numpy reference.
     """
 
     name: str
@@ -66,6 +68,8 @@ class KernelBackend:
     norm2: Callable
     jit: bool = False
     notes: str = ""
+    restrict: "Callable | None" = None
+    prolongate: "Callable | None" = None
     extras: dict = field(default_factory=dict, compare=False)
 
 
@@ -129,9 +133,10 @@ def available_backends() -> "tuple[str, ...]":
 
 
 def backend_status() -> dict:
-    """Introspection: registered backends, selection, resolution, and the
-    ``c`` build outcome (cache path, source hash, compile seconds, or the
-    reason it is unavailable)."""
+    """Introspection: registered backends, selection, resolution (and
+    which backend applies grid transfers), and the ``c`` build outcome
+    (cache path, source hash, compile seconds, or the reason it is
+    unavailable)."""
     from . import backend_c
 
     _ensure_registered()
@@ -143,6 +148,7 @@ def backend_status() -> dict:
         "selected": _selected,
         "env": os.environ.get(_ENV_VAR),
         "resolved": get_backend().name,
+        "transfers": get_backend().name if get_backend().restrict else "numpy",
         "c": backend_c.status(),
     }
 

@@ -9,10 +9,15 @@ diagonals, the Section-5 design — and loads it with ``cffi.FFI.dlopen``.
 Coverage: scalar grids, SOA payloads, one unbatched vector, payload
 {fp16, fp32, fp64} x compute {fp32, fp64}, for SpMV (including the
 Algorithm-3 ``Q^{1/2}`` recover-and-rescale), the 8-color Gauss-Seidel
-sweep, and the Jacobi sweep built on that SpMV.  Everything else —
-batched blocks, ``ncomp > 1``, AOS, SpTRSV, the BLAS-1 ops and every
-reduction — delegates to the planned numpy kernels.  (BF16 payloads are
-float32 arrays of rounded values, so they take the fp32 kernels.)
+sweep, and the Jacobi sweep built on that SpMV; and restriction /
+prolongation of fp32 or fp64 fields through a transfer whose fp32
+weights are exact (the fused ``u += P uc`` included), vectorized along z
+with the transfer's tables bound once per transfer — block components
+and batch columns go through it one scalar field at a time.  Everything
+else — batched blocks, ``ncomp > 1`` and AOS for the matrix kernels,
+SpTRSV, the BLAS-1 ops and every reduction — delegates to the planned
+numpy kernels.  (BF16 payloads are float32 arrays of rounded values, so
+they take the fp32 kernels.)
 
 Bit-parity: each cell accumulates its stencil terms in ascending offset
 order, multiply then add (or subtract) with no FMA (``-ffp-contract=off``),
@@ -27,9 +32,11 @@ compiler version, machine) and cached in ``$XDG_CACHE_HOME/repro-kernels``
 not writable).  A build writes a temporary file and ``os.replace``-s it
 into place, so concurrent processes on a cold cache never load a partial
 library.  Flags are ``-O3 -ffp-contract=off``, plus ``-mavx2 -mf16c`` when
-the CPU reports both.  Without cffi or a working compiler
-:func:`make_backend` returns ``None`` and :func:`status` says why; the
-registry then resolves to numpy.
+the CPU reports both.  Each load marks its library most recently used and
+prunes the cache to the ``CACHE_KEEP`` most recently used libraries, so a
+changed source leaves no stale library behind on every host.  Without
+cffi or a working compiler :func:`make_backend` returns ``None`` and
+:func:`status` says why; the registry then resolves to numpy.
 """
 
 from __future__ import annotations
@@ -48,7 +55,13 @@ import numpy as np
 from ..observability import metrics as _metrics
 from .spmv import field_view
 
-__all__ = ["CompileError", "CKernels", "build_library", "make_backend", "status"]
+__all__ = [
+    "CompileError",
+    "CKernels",
+    "build_library",
+    "make_backend",
+    "status",
+]
 
 #: C compiler used for the build (module attribute so tests can swap it).
 CC: "str | None" = shutil.which("gcc") or shutil.which("cc")
@@ -57,13 +70,29 @@ SOURCE = Path(__file__).with_name("sgdia_kernels.c")
 _BASE_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 _SIMD_FLAGS = ("-mavx2", "-mf16c")
 _COMPILE_TIMEOUT_S = 300
+#: libraries the cache keeps: the portable and SIMD builds of the current
+#: source, and two more (another compiler, or the previous source)
+CACHE_KEEP = 4
+#: XFER_MAX_PAIRS / XFER_MAX_BANDS of the C source: (x, y) terms per
+#: transfer output row, and bands per axis
+_MAX_PAIRS = 64
+_MAX_BANDS = 8
 
 #: payload / compute dtype -> the letter in the C function names
 _PAYLOAD = {np.dtype(np.float16): "h", np.dtype(np.float32): "f", np.dtype(np.float64): "d"}
 _COMPUTE = {np.dtype(np.float32): "f", np.dtype(np.float64): "d"}
 _PAIRS = tuple(p + t for p in "hfd" for t in "fd")
 
-_CDEF = "int repro_simd(void);\n" + "".join(
+_CDEF = """
+int repro_simd(void);
+typedef struct {
+    int n_out, n_in, nband, mul, shift, off;
+    int identity;
+    const float *weight;
+} xfer_axis;
+void xfer_f(const xfer_axis *, const void *, void *, int);
+void xfer_d(const xfer_axis *, const void *, void *, int);
+""" + "".join(
     f"void spmv_{pt}(const void *, const void *, int, int, int, int,"
     f" const void *, void *, const void *);\n"
     f"void gs_{pt}(const void *, const void *, int, int, int, int, int,"
@@ -155,6 +184,7 @@ def _build(flags, cache):
         "cached": True,
     }
     if target.exists():
+        _touch(target)
         return target, info
     cache.mkdir(parents=True, exist_ok=True)
     tmp = cache / f".{target.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
@@ -172,6 +202,34 @@ def _build(flags, cache):
             tmp.unlink()
     info.update(compile_s=time.perf_counter() - t0, cached=False)
     return target, info
+
+
+def _touch(path: Path) -> None:
+    try:
+        os.utime(path)
+    except OSError:  # a read-only cache
+        pass
+
+
+def _prune_cache(cache: Path, used: Path) -> None:
+    """Mark ``used`` most recently used, then unlink every library but the
+    ``CACHE_KEEP`` most recently used.  A process that has loaded a library
+    keeps running after its file is unlinked (POSIX), and a process that
+    needs it again rebuilds it."""
+    _touch(used)
+    libs = []
+    for path in cache.glob("sgdia_kernels-*.so"):
+        try:
+            libs.append((path.stat().st_mtime, path.name, path))
+        except OSError:  # unlinked by a concurrent prune
+            pass
+    libs.sort(reverse=True)
+    for _, _, path in libs[CACHE_KEEP:]:
+        if path != used:
+            try:
+                path.unlink()
+            except OSError:
+                pass
 
 
 class CKernels:
@@ -193,9 +251,11 @@ class CKernels:
             self.lib = self.ffi.dlopen(str(path))
         except OSError as exc:
             raise CompileError(f"cannot load {path}: {exc}") from exc
+        _prune_cache(path.parent, path)
         self.info = dict(info, simd=bool(self.lib.repro_simd()))
         self.spmv = {pt: getattr(self.lib, f"spmv_{pt}") for pt in _PAIRS}
         self.gs = {pt: getattr(self.lib, f"gs_{pt}") for pt in _PAIRS}
+        self.xfer = {dt: getattr(self.lib, f"xfer_{t}") for dt, t in _COMPUTE.items()}
 
 
 _STATUS: dict = {"available": False, "reason": "not built yet"}
@@ -222,12 +282,47 @@ def _soa_scalar(plan, a) -> bool:
     )
 
 
+def _pow2(n: int) -> bool:
+    return n > 0 and n & (n - 1) == 0
+
+
+def _fp32_exact(tables) -> bool:
+    """Whether fp32 arithmetic forms every tensor-product weight
+    ``(wx * wy) * wz`` exactly, so that it equals the fp32-rounded FP64
+    product a CSR matrix holds (true for linear and injection transfers
+    with factors 1, 2 and 4)."""
+    prod = np.ones(1)
+    for table in tables:
+        prod = np.unique(np.multiply.outer(prod, np.unique(table.weight)))
+        if not np.array_equal(prod.astype(np.float32), prod):
+            return False
+    return True
+
+
+def _bind_tables(ffi, tables):
+    """``(xfer_axis[3], keep-alive list)`` describing ``tables``."""
+    axes = ffi.new("xfer_axis[3]")
+    keep = [axes]
+    for ax, table in zip(axes, tables):
+        ax.n_out, ax.n_in, ax.nband = table.n_out, table.n_in, table.nband
+        ax.mul, ax.off = table.step[0], table.offset
+        ax.shift = table.step[1].bit_length() - 1  # div, a power of two
+        ax.identity = (
+            table.step == (1, 1) and table.offset == 0 and table.nband == 1
+            and bool(np.all(table.weight == 1.0))
+        )
+        keep.append(ffi.from_buffer("float[]", table.weight32))
+        ax.weight = keep[-1]
+    return axes, keep
+
+
 def make_backend(reference, kernels: "CKernels | None" = None):
     """The ``c`` :class:`KernelBackend`, or ``None`` when it cannot be built.
 
     ``reference`` (the numpy backend) runs every call outside the compiled
     coverage; ``kernels`` defaults to the host build.
     """
+    from ..coarsen.transfer import deliver
     from .backend import KernelBackend
 
     if kernels is None:
@@ -338,6 +433,70 @@ def make_backend(reference, kernels: "CKernels | None" = None):
         x += cdtype.type(weight) * (diag_inv * r)
         return x
 
+    #: compute dtype (as a type or a dtype) -> (kernel, dtype)
+    xfer = {}
+    for dt, kernel in kernels.xfer.items():
+        xfer[dt] = xfer[dt.type] = (kernel, dt)
+
+    def bind(t, which):
+        """``(xfer_axis[3], source grid, destination grid, keep-alive)``
+        for one direction of ``t``, or ``False`` outside the compiled
+        coverage: weights not in fp32 or not exact there, or tables wider
+        than the kernel's fixed-size lists."""
+        tables, src, dst = t.direction(which)
+        if not (
+            t.dtype == np.float32
+            and tables[0].nband * tables[1].nband <= _MAX_PAIRS
+            and all(tb.nband <= _MAX_BANDS and _pow2(tb.step[1]) for tb in tables)
+            and _fp32_exact(tables)
+        ):
+            return False
+        axes, keep = _bind_tables(ffi, tables)
+        return axes, src, dst, keep
+
+    def transfer(which):
+        key = (ffi, which)  # a second build (its own ffi) binds anew
+
+        def apply(t, x, dtype=None, out=None, add=False):
+            bound = t._bound.get(key)
+            if bound is None:
+                bound = t._bound[key] = bind(t, which)
+            arr = np.asarray(x)
+            kernel, dt = xfer.get(arr.dtype if dtype is None else dtype, (None, None))
+            if not bound or kernel is None or arr.size % bound[1].ncells:
+                return t.apply_reference(which, x, dtype, out, add)
+            axes, src, dst, _ = bound
+            if arr.size == src.ncells:  # one scalar field
+                xs = np.ascontiguousarray(arr, dtype=dt)
+                if (
+                    out is not None
+                    and out.dtype == dt
+                    and out.shape == dst.shape
+                    and out.flags.c_contiguous
+                    and out.flags.writeable
+                    and not np.may_share_memory(out, xs)
+                ):
+                    kernel(axes, buf(xs), buf(out), int(bool(add)))
+                    return out
+                y = np.empty(dst.shape, dtype=dt)
+                kernel(axes, buf(xs), buf(y), 0)
+                return y if out is None else deliver(out, y, add)
+            # components and batch columns: one scalar field each
+            m = arr.size // src.ncells
+            xs = np.ascontiguousarray(
+                np.moveaxis(arr.reshape(src.shape + (m,)), -1, 0), dtype=dt
+            )
+            ys = np.empty((m,) + dst.shape, dtype=dt)
+            for xc, yc in zip(xs, ys):
+                kernel(axes, buf(xc), buf(yc), 0)
+            y = np.empty(dst.shape + (m,), dtype=dt)
+            y[...] = np.moveaxis(ys, 0, -1)
+            batch = () if arr.size == src.ndof else (arr.size // src.ndof,)
+            y = y.reshape(dst.field_shape + batch)
+            return y if out is None else deliver(out, y, add)
+
+        return apply
+
     return KernelBackend(
         name="c",
         spmv=spmv,
@@ -348,8 +507,11 @@ def make_backend(reference, kernels: "CKernels | None" = None):
         xpay=reference.xpay,
         dot=reference.dot,  # pairwise summation: never reimplemented
         norm2=reference.norm2,
+        restrict=transfer("restrict"),
+        prolongate=transfer("prolong"),
         notes=(
-            "compiled C (cffi): scalar SOA unbatched SpMV/SymGS/Jacobi, "
+            "compiled C (cffi): scalar SOA unbatched SpMV/SymGS/Jacobi and "
+            "grid transfers, "
             f"{'AVX2+F16C' if kernels.info['simd'] else 'portable'} build; "
             "numpy for everything else"
         ),

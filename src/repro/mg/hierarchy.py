@@ -84,12 +84,17 @@ class MGHierarchy:
 
     def memory_report(self) -> dict:
         """Per-hierarchy byte accounting for the performance model."""
+        # every array the transfers hold, each once: transfers coarsening
+        # axes of the same length share their tables
+        held = {
+            id(arr): arr
+            for l in self.levels if l.transfer is not None
+            for arr in l.transfer.arrays()
+        }
         return {
             "matrix_bytes": sum(l.matrix_nbytes() for l in self.levels),
             "smoother_bytes": sum(l.smoother_nbytes() for l in self.levels),
-            "transfer_bytes": sum(
-                l.transfer.nbytes for l in self.levels if l.transfer is not None
-            ),
+            "transfer_bytes": sum(arr.nbytes for arr in held.values()),
             "levels": [
                 {
                     "index": l.index,
@@ -192,7 +197,9 @@ class MGHierarchy:
                 raise ValueError(f"unknown cycle kind {kind!r}")
             # interpolate error and correct (lines 19-21)
             with _trace.span("prolong"):
-                u += level.transfer.prolongate(uc, dtype=self.compute_dtype)
+                level.transfer.prolongate(
+                    uc, dtype=self.compute_dtype, out=u, add=True
+                )
             # post-smoothing with the transposed ordering S^T (lines 16-18)
             with _trace.span("smoother", phase="post"):
                 for _ in range(self.options.nu2):

@@ -13,12 +13,34 @@ import threading
 import numpy as np
 import scipy.linalg as sla
 
-from ..sgdia import SGDIAMatrix, StoredMatrix
+from ..sgdia import SGDIAMatrix, StoredMatrix, offset_slices
 from .base import Smoother
 
-__all__ = ["CoarseDirectSolver"]
+__all__ = ["CoarseDirectSolver", "dense_matrix"]
 
 _MAX_DENSE_DOFS = 40_000
+
+
+def dense_matrix(a: SGDIAMatrix) -> np.ndarray:
+    """``a`` as a dense FP64 array, scattered from the SG-DIA payload one
+    offset at a time.
+
+    Equal to ``a.to_csr().toarray()``: entries whose neighbour is outside
+    the grid are left out, and a stored ``-0.0`` (which the CSR drops as
+    a zero) reads ``+0.0``.
+    """
+    grid = a.grid
+    r = grid.ncomp
+    dense = np.zeros((grid.ndof, grid.ndof))
+    blocks = dense.reshape(grid.ncells, r, grid.ncells, r)
+    cells = np.arange(grid.ncells).reshape(grid.shape)
+    for d, off in enumerate(a.stencil.offsets):
+        dst, src = offset_slices(grid.shape, off)
+        vals = np.asarray(a.diag_view(d)[dst], dtype=np.float64)
+        blocks[cells[dst].ravel(), :, cells[src].ravel(), :] = (
+            vals.reshape(-1, r, r) + 0.0
+        )
+    return dense
 
 
 class CoarseDirectSolver(Smoother):
@@ -46,8 +68,7 @@ class CoarseDirectSolver(Smoother):
                 f"solver (max {_MAX_DENSE_DOFS}) — coarsen further or use a "
                 "smoother at the coarsest level"
             )
-        dense = high.to_csr(dtype=np.float64).toarray()
-        self._lu = sla.lu_factor(dense)
+        self._lu = sla.lu_factor(dense_matrix(high))
 
     def state_arrays(self) -> "dict[str, np.ndarray] | None":
         if self._lu is None:

@@ -247,6 +247,91 @@ class TestBuildFallback:
             assert_bit_identical(xr, xc)
 
 
+class TestCachePrune:
+    """Each load keeps only the ``CACHE_KEEP`` most recently used libraries;
+    a process that loaded a library keeps running after it is unlinked."""
+
+    @staticmethod
+    def _stale(cache, n):
+        cache.mkdir(parents=True, exist_ok=True)
+        paths = []
+        for i in range(n):
+            path = cache / f"sgdia_kernels-stale{i:02d}.so"
+            path.write_bytes(b"")
+            os.utime(path, (1_000_000 + i, 1_000_000 + i))
+            paths.append(path)
+        return paths
+
+    @staticmethod
+    def _cached_host_library(cache):
+        """A copy of this host's library, under its cache name."""
+        lib = Path(backend_status()["c"]["library"])
+        cache.mkdir(parents=True, exist_ok=True)
+        (cache / lib.name).write_bytes(lib.read_bytes())
+        return cache / lib.name
+
+    @needs_c
+    def test_load_prunes_to_most_recent(self, tmp_path):
+        stale = self._stale(tmp_path, 6)
+        lib = self._cached_host_library(tmp_path)
+        os.utime(lib, (999_000, 999_000))  # older than every stale file
+        kernels = backend_c.CKernels(cache=tmp_path)
+        assert kernels.info["cached"] and Path(kernels.info["library"]) == lib
+        keep = backend_c.CACHE_KEEP
+        assert {p.name for p in tmp_path.glob("sgdia_kernels-*.so")} == {
+            lib.name, *(p.name for p in stale[-(keep - 1):])}
+
+    @needs_c
+    def test_unlinked_library_keeps_running(self, tmp_path):
+        lib = self._cached_host_library(tmp_path)
+        kernels = backend_c.CKernels(cache=tmp_path)
+        lib.unlink()
+        be = backend_c.make_backend(_backend._numpy_backend(), kernels)
+        a = random_sgdia((6, 5, 7)).astype("fp16")
+        x = np.random.default_rng(2).standard_normal((6, 5, 7)).astype(np.float32)
+        plan = plan_for(a)
+        assert_bit_identical(
+            _backend._numpy_backend().spmv(plan, a, x), be.spmv(plan, a, x)
+        )
+
+    @needs_c
+    def test_cold_cache_concurrent_builds_prune(self, tmp_path):
+        """Two processes compiling into a cache full of stale libraries both
+        load the new one; the cache ends at ``CACHE_KEEP`` files."""
+        cache = tmp_path / "repro-kernels"
+        stale = self._stale(cache, 6)
+        code = (
+            "import json\n"
+            "from repro.kernels import backend_status\n"
+            "st = backend_status()\n"
+            "print(json.dumps({'resolved': st['resolved'],"
+            " 'library': st['c']['library']}))\n"
+        )
+        env = dict(
+            os.environ,
+            XDG_CACHE_HOME=str(tmp_path),
+            PYTHONPATH=os.pathsep.join([str(SRC), str(SRC.parent)]),
+        )
+        env.pop("REPRO_KERNEL_BACKEND", None)
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", code], env=env, cwd=str(SRC.parent),
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            )
+            for _ in range(2)
+        ]
+        outs = []
+        for p in procs:
+            out, err = p.communicate(timeout=300)
+            assert p.returncode == 0, err
+            outs.append(json.loads(out.strip().splitlines()[-1]))
+        assert all(o["resolved"] == "c" for o in outs)
+        lib = Path(outs[0]["library"])
+        keep = backend_c.CACHE_KEEP
+        assert {p.name for p in cache.glob("sgdia_kernels-*.so")} == {
+            lib.name, *(p.name for p in stale[-(keep - 1):])}
+
+
 class TestBlas1Dispatch:
     def test_ops_route_through_backend(self):
         rng = np.random.default_rng(0)
